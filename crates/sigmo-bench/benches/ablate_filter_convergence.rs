@@ -1,18 +1,16 @@
 //! Ablation: convergence-driven filtering vs the fixed-iteration filter.
 //!
 //! Runs the full pipeline on the `bench_pipeline` workload (Quick scale by
-//! default, same seed and device profile) under the three
+//! default, same seed and device profile) under both
 //! [`FilterMode`]s:
 //!
 //! * `Exhaustive` — the pre-convergence baseline: every configured
 //!   iteration launches a full refine over every query row;
-//! * `EarlyExit` — fixed kernels, but refinement stops at the filter
-//!   fixpoint (no cleared bits, no active frontiers);
 //! * `Incremental` — the delta-driven kernel: only query rows whose
 //!   signature moved are re-tested, dead data graphs are skipped, and
 //!   refinement stops once the query signatures converge.
 //!
-//! All three must produce identical match totals (the monotonicity
+//! Both must produce identical match totals (the monotonicity
 //! argument in `DESIGN.md` §4b); the acceptance bar is a ≥2× drop in
 //! `refine_candidates` wall time from `Exhaustive` to `Incremental`.
 
@@ -86,7 +84,6 @@ fn main() {
     let d = scale.dataset(0x5167);
     let reps = 5;
     let ex = run_median(&d, FilterMode::Exhaustive, reps);
-    let ee = run_median(&d, FilterMode::EarlyExit, reps);
     let inc = run_median(&d, FilterMode::Incremental, reps);
 
     println!("# ablate_filter_convergence ({scale:?} scale)");
@@ -94,7 +91,7 @@ fn main() {
         "{:<12} {:>6} {:>6} {:>14} {:>14} {:>12}",
         "mode", "iters", "calls", "refine_wall_s", "filter_wall_s", "matches"
     );
-    for (name, s) in [("exhaustive", ex), ("early-exit", ee), ("incremental", inc)] {
+    for (name, s) in [("exhaustive", ex), ("incremental", inc)] {
         println!(
             "{:<12} {:>6} {:>6} {:>14.6} {:>14.6} {:>12}",
             name,
@@ -107,24 +104,17 @@ fn main() {
     }
 
     // Correctness: convergence must never change the results.
-    for (name, s) in [("early-exit", ee), ("incremental", inc)] {
-        assert_eq!(
-            s.total_matches, ex.total_matches,
-            "{name} changed total_matches"
-        );
-        assert_eq!(
-            s.matched_pairs, ex.matched_pairs,
-            "{name} changed matched_pairs"
-        );
-        assert_eq!(s.gmcr_pairs, ex.gmcr_pairs, "{name} changed gmcr_pairs");
-    }
-    assert!(
-        ee.iterations_run <= ex.iterations_run,
-        "early exit ran more iterations than the fixed schedule"
+    assert_eq!(
+        inc.total_matches, ex.total_matches,
+        "incremental changed total_matches"
     );
-    assert!(
-        inc.refine_calls <= ee.refine_calls,
-        "incremental launched more refine kernels than early exit"
+    assert_eq!(
+        inc.matched_pairs, ex.matched_pairs,
+        "incremental changed matched_pairs"
+    );
+    assert_eq!(
+        inc.gmcr_pairs, ex.gmcr_pairs,
+        "incremental changed gmcr_pairs"
     );
 
     let speedup = ex.refine_wall_s / inc.refine_wall_s.max(1e-12);

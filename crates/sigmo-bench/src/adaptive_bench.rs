@@ -164,8 +164,8 @@ fn needle(scale: BenchScale) -> Scenario {
         &[(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)],
     );
     // Data template: 10 carbons, each with 4 H and an N; one S on the
-    // last N only. Every carbon survives the label-pair pre-check (all
-    // have H and N pairs); only one N row candidate survives (N–S pair).
+    // last N only. Every carbon passes init's label-pair check (all have
+    // H and N pairs); only one N row candidate survives (N–S pair).
     let mut labels = Vec::new();
     let mut edges = Vec::new();
     for c in 0..10u32 {
@@ -239,8 +239,8 @@ pub fn scenarios(scale: BenchScale) -> Vec<Scenario> {
 
 fn config(s: &Scenario, strategy: JoinStrategy, order: JoinOrder) -> EngineConfig {
     EngineConfig {
-        // One iteration keeps candidate rows wide (label init + the
-        // label-pair pre-check only) so the join phase dominates and the
+        // One iteration keeps candidate rows wide (init's label and
+        // label-pair checks only) so the join phase dominates and the
         // ordering asymmetry survives filtering.
         refinement_iterations: 1,
         mode: s.mode,

@@ -8,8 +8,7 @@
 
 use crate::candidates::{CandidateBitmap, WordWidth};
 use crate::filter::{
-    initialize_candidates_bucketed, label_pair_filter, node_predicate_filter,
-    refine_candidates_classes, refine_candidates_delta,
+    initialize_candidates_bucketed, refine_candidates_classes, refine_candidates_delta,
 };
 use crate::governor::{Completion, Governor};
 use crate::join::cost::{JoinVariant, OrderChoice};
@@ -84,11 +83,6 @@ pub enum FilterMode {
     /// `refinement_iterations` rounds. Kept as the oracle baseline for
     /// the differential tests and the `ablate_filter_convergence` bench.
     Exhaustive,
-    /// Exhaustive kernels plus fixpoint early-exit: refinement stops once
-    /// an iteration clears zero bits while both signature sets report
-    /// drained BFS frontiers — from there every later iteration is
-    /// provably a no-op.
-    EarlyExit,
     /// Delta-driven refinement (default): each iteration re-tests only
     /// the signature classes whose representative signature moved at this
     /// radius, skips data graphs with no live candidate left, and stops
@@ -125,7 +119,7 @@ pub struct EngineConfig {
     /// Join matching-order heuristic (used by the fixed strategies; the
     /// adaptive strategies pick per pair).
     pub join_order: JoinOrder,
-    /// Refinement scheduling: exhaustive, early-exit, or delta-driven.
+    /// Refinement scheduling: exhaustive or delta-driven.
     pub filter_mode: FilterMode,
     /// Join variant selection: fixed DFS/BFS or per-pair adaptive.
     pub join_strategy: JoinStrategy,
@@ -383,9 +377,14 @@ impl Engine {
         );
         let setup = t0.elapsed();
 
-        // ❸–❹ filter.
+        // ❸–❹ filter. Iteration 1 is one launch: init admits a bit only
+        // if the labels match, the data node supplies the query row's
+        // concrete (edge label, neighbor label) pairs, and the row's
+        // compiled SMARTS predicate holds. The label matches it rejects
+        // are iteration 1's `cleared_bits`; its constrained rows are the
+        // iteration's `dirty_nodes`.
         let t1 = Instant::now();
-        initialize_candidates_bucketed(
+        let rejected = initialize_candidates_bucketed(
             queue,
             plan.buckets(),
             data,
@@ -393,35 +392,12 @@ impl Engine {
             cfg.filter_work_group_size,
             governor,
         );
-        // Label-pair pre-check: one extra pass over the constrained query
-        // rows, clearing candidates that cannot supply the row's concrete
-        // (edge label, neighbor label) pairs. Edge labels are invisible to
-        // the node-label signature refinement below, so this is the only
-        // filter that prunes bond-order mismatches before the join — and a
-        // cleared bit here makes `next_candidate` reject the extension
-        // word-parallel instead of per-probe. Folded into iteration 1's
-        // stats (it runs at radius 0, before any refinement).
-        let pair_cleared = label_pair_filter(
-            queue,
-            data,
-            plan.pair_schema(),
-            plan.pair_rows(),
-            &bitmap,
-            governor,
-        );
-        // Node-predicate filter: clears candidates failing a query node's
-        // compiled SMARTS predicate (atom list, degree, ring, H-count,
-        // charge). Local properties, so — like the pair pre-check — it runs
-        // once at radius 0 and folds into iteration 1's stats. Predicate-free
-        // batches have an empty work list and skip the launch entirely,
-        // leaving their stats bit-identical to the pre-predicate engine.
-        let pred_cleared = node_predicate_filter(queue, data, plan.pred_rows(), &bitmap, governor);
         let mut iterations = Vec::with_capacity(cfg.refinement_iterations);
         iterations.push(IterationStats {
             iteration: 1,
             candidates: CandidateStats::from_bitmap(&bitmap),
-            cleared_bits: pair_cleared + pred_cleared,
-            dirty_nodes: (plan.pair_rows().len() + plan.pred_rows().len()) as u64,
+            cleared_bits: rejected,
+            dirty_nodes: plan.buckets().constrained_rows() as u64,
         });
         for it in 2..=cfg.refinement_iterations {
             // Refinement only prunes, so stopping between iterations keeps
@@ -436,9 +412,9 @@ impl Engine {
                 // (DESIGN.md §4b). Skipped work is never charged or ticked.
                 break;
             }
-            let d_active = data_sigs.advance(data);
+            data_sigs.advance(data);
             let (cleared, dirty) = match cfg.filter_mode {
-                FilterMode::Exhaustive | FilterMode::EarlyExit => {
+                FilterMode::Exhaustive => {
                     let cleared = refine_candidates_classes(
                         queue,
                         data,
@@ -481,15 +457,6 @@ impl Engine {
                 cleared_bits: cleared,
                 dirty_nodes: dirty,
             });
-            if cfg.filter_mode == FilterMode::EarlyExit
-                && cleared == 0
-                && d_active == 0
-                && plan.active_at(radius) == 0
-            {
-                // Fixpoint: both frontiers drained and nothing cleared —
-                // every further iteration is provably a no-op.
-                break;
-            }
         }
         let filter = t1.elapsed();
 
@@ -684,19 +651,12 @@ mod tests {
             .run(std::slice::from_ref(&q), &d, &queue())
         };
         let ex = mk(FilterMode::Exhaustive);
-        let ee = mk(FilterMode::EarlyExit);
         let inc = mk(FilterMode::Incremental);
         assert_eq!(ex.iterations.len(), 8, "exhaustive runs the full schedule");
-        assert!(ee.iterations.len() < 8, "early-exit must stop at fixpoint");
-        assert!(
-            inc.iterations.len() <= ee.iterations.len(),
-            "query convergence implies the generic fixpoint"
-        );
-        for r in [&ee, &inc] {
-            assert_eq!(r.total_matches, ex.total_matches);
-            assert_eq!(r.matched_pair_list, ex.matched_pair_list);
-            assert_eq!(r.gmcr_pairs, ex.gmcr_pairs);
-        }
+        assert!(inc.iterations.len() < 8, "incremental stops at convergence");
+        assert_eq!(inc.total_matches, ex.total_matches);
+        assert_eq!(inc.matched_pair_list, ex.matched_pair_list);
+        assert_eq!(inc.gmcr_pairs, ex.gmcr_pairs);
         // On the iterations every mode ran, the bitmaps evolve identically.
         for (a, b) in ex.iterations.iter().zip(&inc.iterations) {
             assert_eq!(a.candidates.total, b.candidates.total);
@@ -854,16 +814,16 @@ mod tests {
     }
 
     #[test]
-    fn label_pair_precheck_prunes_bond_mismatch_at_init() {
+    fn label_pair_check_prunes_bond_mismatch_at_init() {
         // Query C=O (double bond); data C-O (single). Node labels agree, so
-        // only the pair pre-check can prune before the join.
+        // only init's pair test can prune before the join.
         let q = labeled(&[1, 3], &[(0, 1, 2)]);
         let d = labeled(&[1, 3], &[(0, 1, 1)]);
         let report = Engine::with_defaults().run(&[q], &[d], &queue());
         assert_eq!(report.total_matches, 0);
         assert_eq!(
             report.iterations[0].cleared_bits, 2,
-            "both rows' only candidate dies in the pre-check"
+            "both rows' only label match is rejected at init"
         );
         assert_eq!(report.iterations[0].dirty_nodes, 2, "both rows constrained");
         assert_eq!(report.gmcr_pairs, 0, "the pair never reaches the join");

@@ -1,9 +1,11 @@
 //! The filtering kernels of Algorithm 1.
 //!
-//! * [`initialize_candidates`] — one work-item per data node; sets the
-//!   candidate bit for every query node with a matching label. Query rows
-//!   are pre-bucketed by label ([`LabelBuckets`], built once per batch),
-//!   so each data node only walks the rows it will actually set —
+//! * [`initialize_candidates`] — one work-item per data node; applies the
+//!   whole iteration-1 admission rule (label match, label-pair
+//!   domination, node predicate) to every query row of a matching label.
+//!   Query rows are pre-bucketed by label ([`LabelBuckets`], built once
+//!   per batch, which also carries each row's pair signature and
+//!   predicate), so each data node only walks the rows it can admit —
 //!   O(matching rows) instead of O(|V_Q|);
 //! * [`refine_candidates`] — one work-item per data node; query nodes are
 //!   grouped into signature-equivalence classes ([`SignatureClasses`],
@@ -28,36 +30,51 @@ use crate::schema::LabelSchema;
 use crate::signature::{Signature, SignatureSet};
 use sigmo_device::Queue;
 use sigmo_graph::{CsrGo, EdgeLabel, Label, NodeId, NodePredicate, WILDCARD_EDGE, WILDCARD_LABEL};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Modeled instruction cost of one label comparison in the init kernel.
 const INIT_INSTR_PER_QNODE: u64 = 4;
 /// Modeled instruction cost of one domination test (|L| group compares).
 const REFINE_INSTR_PER_TEST: u64 = 24;
 
-/// Per-label query-row lists, built once per batch (or once per *plan* —
-/// [`crate::plan::QueryPlan`] caches them across stream chunks).
-/// `rows_for(dl)` yields exactly the rows whose candidate bit the init
-/// kernel must set for a data node labeled `dl`: the concrete bucket for
-/// `dl` chained with the wildcard rows. Wildcard query rows live only in
-/// the wildcard list, so every row is yielded at most once for any data
-/// label (including the degenerate case of a wildcard-labeled data node).
+/// The per-row init table: every query row's iteration-1 admission
+/// inputs, built once per batch (or once per *plan* —
+/// [`crate::plan::QueryPlan`] caches it across stream chunks).
 ///
-/// Storage is sparse: only labels that actually occur in the batch get a
-/// bucket (molecular batches touch ~a dozen of the 256 possible labels),
-/// and lookup is a linear scan of that short list — cheaper than
-/// allocating 256 `Vec`s per stream chunk ever was.
+/// Rows are bucketed by label: `rows_for(dl)` yields exactly the rows a
+/// data node labeled `dl` can match — the concrete bucket for `dl`
+/// chained with the wildcard rows. Wildcard query rows live only in the
+/// wildcard list, so every row is yielded at most once for any data label
+/// (including the degenerate case of a wildcard-labeled data node).
+/// Bucket storage is sparse: only labels that actually occur in the batch
+/// get a bucket (molecular batches touch ~a dozen of the 256 possible
+/// labels), and lookup is a linear scan of that short list.
+///
+/// Alongside the buckets, the table holds each row's label-pair
+/// signature ([`pair_signature`]) and compiled [`NodePredicate`], indexed
+/// by row: the other two parts of the admission rule
+/// [`initialize_candidates`] applies.
 pub struct LabelBuckets {
     by_label: Vec<(Label, Vec<u32>)>,
     wildcard: Vec<u32>,
+    pair_schema: LabelSchema,
+    /// `pairs[q]`: row `q`'s label-pair signature (`EMPTY` when the row
+    /// has no concrete pair to demand).
+    pairs: Vec<Signature>,
+    /// `preds[q]`: row `q`'s non-trivial predicate, if any.
+    preds: Vec<Option<NodePredicate>>,
+    /// Rows with a non-empty pair signature or a predicate.
+    constrained: usize,
 }
 
 impl LabelBuckets {
-    /// Buckets every query node by its label in one O(|V_Q|) pass,
-    /// allocating only for labels the batch actually uses.
+    /// Builds the table in one O(|V_Q|) pass over the batch, allocating
+    /// buckets only for labels the batch actually uses.
     pub fn build(queries: &CsrGo) -> Self {
+        let n = queries.num_nodes();
         let mut by_label: Vec<(Label, Vec<u32>)> = Vec::new();
         let mut wildcard = Vec::new();
-        for q in 0..queries.num_nodes() {
+        for q in 0..n {
             let ql = queries.label(q as NodeId);
             if ql == WILDCARD_LABEL {
                 wildcard.push(q as u32);
@@ -68,7 +85,27 @@ impl LabelBuckets {
                 }
             }
         }
-        LabelBuckets { by_label, wildcard }
+        let pair_schema = pair_schema();
+        let pairs: Vec<Signature> = (0..n as NodeId)
+            .map(|q| pair_signature(queries, &pair_schema, q))
+            .collect();
+        let mut preds = vec![None; n];
+        for (q, pred) in queries.predicates() {
+            if !pred.is_trivial() {
+                preds[*q as usize] = Some(pred.clone());
+            }
+        }
+        let constrained = (0..n)
+            .filter(|&q| pairs[q] != Signature::EMPTY || preds[q].is_some())
+            .count();
+        LabelBuckets {
+            by_label,
+            wildcard,
+            pair_schema,
+            pairs,
+            preds,
+            constrained,
+        }
     }
 
     /// Number of distinct concrete labels in the batch.
@@ -92,23 +129,58 @@ impl LabelBuckets {
             .chain(self.wildcard.iter())
             .copied()
     }
+
+    /// The label-pair signature schema ([`pair_schema`]).
+    pub fn pair_schema(&self) -> &LabelSchema {
+        &self.pair_schema
+    }
+
+    /// Row `q`'s label-pair signature (`EMPTY` = no pair constraint).
+    pub fn pair(&self, q: usize) -> Signature {
+        self.pairs[q]
+    }
+
+    /// Row `q`'s non-trivial node predicate, if it has one.
+    pub fn predicate(&self, q: usize) -> Option<&NodePredicate> {
+        self.preds[q].as_ref()
+    }
+
+    /// Number of rows the pair or predicate test constrains — each
+    /// counted once (iteration 1's `dirty_nodes`).
+    pub fn constrained_rows(&self) -> usize {
+        self.constrained
+    }
+
+    fn has_predicates(&self) -> bool {
+        self.preds.iter().any(Option::is_some)
+    }
 }
 
-/// The InitializeCandidates kernel: candidate bit `(q, d)` is set iff the
-/// labels match, or the query node is a wildcard atom. Each data node
-/// walks only its label bucket (plus wildcards), so work — and the
-/// modeled instruction charge — scales with the bits actually set, not
-/// with the full query population.
+/// The InitializeCandidates kernel, and the whole iteration-1 admission
+/// rule: candidate bit `(q, d)` is set iff
+///
+/// 1. the labels match, or `q` is a wildcard atom;
+/// 2. `d`'s label-pair signature dominates `q`'s (an empty query
+///    signature always passes) — see [`pair_signature`];
+/// 3. `q`'s compiled [`NodePredicate`], if any, matches `d`.
+///
+/// Edge labels and predicates are local facts the node-label signature
+/// refinement cannot see, so this is the one place they prune before the
+/// join; a bit rejected here makes `next_candidate` reject the extension
+/// word-parallel through the bitmap probe.
+///
+/// Returns the number of label-matching bits the pair and predicate
+/// tests rejected (iteration 1's `cleared_bits`).
 pub fn initialize_candidates(
     queue: &Queue,
     queries: &CsrGo,
     data: &CsrGo,
     bitmap: &CandidateBitmap,
     work_group_size: usize,
-) {
-    initialize_candidates_governed(
+) -> u64 {
+    initialize_candidates_bucketed(
         queue,
-        queries,
+        &LabelBuckets::build(queries),
         data,
         bitmap,
         work_group_size,
@@ -116,26 +188,21 @@ pub fn initialize_candidates(
     )
 }
 
-/// [`initialize_candidates`] under a [`Governor`]: a stopped governor
-/// skips not-yet-started work-groups at dispatch and unprocessed data
-/// nodes inside running groups. A truncated init leaves some candidate
-/// bits unset — strictly fewer candidates, so downstream results remain
-/// sound (every reported embedding is real) but incomplete.
-pub fn initialize_candidates_governed(
-    queue: &Queue,
-    queries: &CsrGo,
-    data: &CsrGo,
-    bitmap: &CandidateBitmap,
-    work_group_size: usize,
-    governor: &Governor,
-) {
-    let buckets = LabelBuckets::build(queries);
-    initialize_candidates_bucketed(queue, &buckets, data, bitmap, work_group_size, governor)
-}
-
-/// [`initialize_candidates_governed`] with caller-provided
-/// [`LabelBuckets`] — the form [`crate::plan::QueryPlan`] uses so the
-/// buckets are built once per plan instead of once per chunk.
+/// [`initialize_candidates`] with a caller-provided [`LabelBuckets`] table
+/// (the form [`crate::plan::QueryPlan`] uses, so the table is built once
+/// per plan instead of once per chunk), under a [`Governor`]: a stopped
+/// governor skips not-yet-started work-groups at dispatch and unprocessed
+/// data nodes inside running groups. A truncated init leaves some
+/// candidate bits unset — strictly fewer candidates, so downstream
+/// results remain sound (every reported embedding is real) but
+/// incomplete.
+///
+/// Each data node walks only its label bucket (plus wildcards), so work
+/// scales with the label matches, not with the full query population. A
+/// data node's pair signature is built on its first constrained row, at
+/// most once; the data attributes a predicate reads are built only for
+/// batches that carry a predicate (their ring perception grows with the
+/// square of the batch's node count).
 pub fn initialize_candidates_bucketed(
     queue: &Queue,
     buckets: &LabelBuckets,
@@ -143,8 +210,11 @@ pub fn initialize_candidates_bucketed(
     bitmap: &CandidateBitmap,
     work_group_size: usize,
     governor: &Governor,
-) {
+) -> u64 {
+    let attrs = buckets.has_predicates().then(|| data.node_attrs());
+    let pair_schema = buckets.pair_schema();
     let word_bytes = bitmap.word_width().bytes();
+    let rejected = AtomicU64::new(0);
     queue.parallel_for_chunks_until(
         "initialize_candidates",
         "filter",
@@ -154,13 +224,36 @@ pub fn initialize_candidates_bucketed(
         |items, counters| {
             // Group-local charge accumulation (see the refine kernels):
             // one counter flush per work-group.
+            let mut visits = 0u64;
             let mut sets = 0u64;
             let mut labels = 0u64;
+            let mut tests = 0u64;
+            let mut cleared = 0u64;
             let mut visit = |d: usize| {
                 let dl = data.label(d as NodeId);
                 labels += 1;
+                let mut dpair: Option<Signature> = None;
                 for q in buckets.rows_for(dl) {
-                    bitmap.set(q as usize, d);
+                    visits += 1;
+                    let q = q as usize;
+                    let qpair = buckets.pair(q);
+                    if qpair != Signature::EMPTY {
+                        tests += 1;
+                        let dsig = *dpair
+                            .get_or_insert_with(|| pair_signature(data, pair_schema, d as NodeId));
+                        if !dsig.dominates(pair_schema, &qpair) {
+                            cleared += 1;
+                            continue;
+                        }
+                    }
+                    if let (Some(pred), Some(attrs)) = (buckets.predicate(q), &attrs) {
+                        tests += 1;
+                        if !pred.matches(attrs, d as NodeId) {
+                            cleared += 1;
+                            continue;
+                        }
+                    }
+                    bitmap.set(q, d);
                     sets += 1;
                 }
             };
@@ -170,14 +263,20 @@ pub fn initialize_candidates_bucketed(
                 }
                 visit(d);
             }
-            // One bucket lookup plus one set per matching row; the dense
-            // per-row label compare of the naive kernel is gone.
-            counters.add_instructions(INIT_INSTR_PER_QNODE * sets + 2 * labels);
-            counters.add_bytes_read(labels); // the data nodes' labels
+            // One bucket lookup per matching row, one set per admitted
+            // bit; a rejected bit is never written. Each pair or predicate
+            // test is one domination/evaluation plus an 8-byte data-side
+            // load (the pair signature or the packed attributes).
+            counters.add_instructions(
+                INIT_INSTR_PER_QNODE * visits + 2 * labels + REFINE_INSTR_PER_TEST * tests,
+            );
+            counters.add_bytes_read(labels + tests * 8);
             counters.add_atomics(sets);
             counters.add_bytes_written(sets * word_bytes);
+            rejected.fetch_add(cleared, Ordering::Relaxed);
         },
     );
+    rejected.into_inner()
 }
 
 /// Query nodes grouped by identical signature. The domination verdict for
@@ -615,219 +714,6 @@ pub fn pair_signature(graph: &CsrGo, schema: &LabelSchema, v: NodeId) -> Signatu
     sig
 }
 
-/// The label-pair pre-check kernel: clears candidate bits whose data node
-/// cannot supply the query node's concrete (edge label, neighbor label)
-/// pairs. Runs once, right after init — edge labels are invisible to the
-/// signature refinement loop (node-label signatures only), so this is the
-/// one filter that prunes bond-order mismatches *before* the join's
-/// per-extension edge checks, and the bits it clears make `next_candidate`
-/// reject those extensions word-parallel via the bitmap probe.
-///
-/// Transposed like [`refine_candidates_delta`]: one work-item per
-/// constrained query row (`pair_rows`, precomputed by the plan — rows
-/// whose pair signature is non-empty), enumerating its live bits
-/// word-parallel and testing bucket domination at each. Data-side pair
-/// signatures are built host-side per launch (one pass over the data
-/// adjacency, like `SignatureSet::advance`).
-///
-/// Returns the number of bits cleared.
-pub fn label_pair_filter(
-    queue: &Queue,
-    data: &CsrGo,
-    schema: &LabelSchema,
-    pair_rows: &[(u32, Signature)],
-    bitmap: &CandidateBitmap,
-    governor: &Governor,
-) -> u64 {
-    if pair_rows.is_empty() {
-        return 0;
-    }
-    let dsigs: Vec<Signature> = (0..data.num_nodes())
-        .map(|d| pair_signature(data, schema, d as NodeId))
-        .collect();
-    let word_bytes = bitmap.word_width().bytes();
-    let n = data.num_nodes();
-    let row_words = n.div_ceil(64) as u64;
-    let snap = queue.parallel_for_chunks_until(
-        "label_pair_filter",
-        "filter",
-        pair_rows.len(),
-        DELTA_ROWS_PER_GROUP,
-        || governor.stopped(),
-        |items, counters| {
-            // Group-local charge accumulation, flushed once per work-group
-            // (same convention as the refine kernels).
-            let mut cleared = 0u64;
-            let mut tests = 0u64;
-            let mut words = 0u64;
-            let mut trip_sq = 0u64;
-            let mut rows_run = 0u64;
-            let mut visit = |r: usize| {
-                let (q, qsig) = pair_rows[r];
-                let mut row_tests = 0u64;
-                for d in bitmap.iter_set_in_range(q as usize, 0, n) {
-                    row_tests += 1;
-                    if !dsigs[d].dominates(schema, &qsig) {
-                        bitmap.clear(q as usize, d);
-                        cleared += 1;
-                    }
-                }
-                words += row_words;
-                tests += row_tests;
-                trip_sq += row_tests * row_tests;
-                rows_run += 1;
-            };
-            for r in items {
-                if governor.stopped() {
-                    break; // consult once per row, never per bit
-                }
-                visit(r);
-            }
-            // Same cost shape as the transposed delta kernel: each scanned
-            // row loads its bitmap words once, each live bit one data pair
-            // signature (8 bytes) + one domination test, each row its own
-            // signature pair (16 bytes).
-            counters.add_instructions(REFINE_INSTR_PER_TEST * tests + words);
-            counters.add_word_reads(words, word_bytes);
-            counters.add_bytes_read(tests * 8 + rows_run * 16);
-            counters.add_atomics(cleared);
-            counters.add_bytes_written(cleared * word_bytes);
-            counters.record_trip_moments(tests, trip_sq, rows_run);
-        },
-    );
-    snap.atomic_ops
-}
-
-/// The constrained-row list [`label_pair_filter`] consumes: every query
-/// row with a non-empty pair signature, ascending. Plans build this once
-/// per batch.
-pub fn pair_rows(queries: &CsrGo, schema: &LabelSchema) -> Vec<(u32, Signature)> {
-    (0..queries.num_nodes() as u32)
-        .filter_map(|q| {
-            let sig = pair_signature(queries, schema, q);
-            (sig != Signature::EMPTY).then_some((q, sig))
-        })
-        .collect()
-}
-
-/// The node-predicate filter kernel: clears candidate bits whose data
-/// node fails a query node's compiled [`NodePredicate`] (SMARTS atom
-/// lists, degree, ring membership/size, H-count, formal charge). Runs
-/// once, right after the label-pair pre-check — predicates are *local*
-/// node properties, so like edge labels they are invisible to the
-/// node-label signature refinement loop, and the bits cleared here
-/// propagate to the join for free through the bitmap probe.
-///
-/// Transposed like [`label_pair_filter`]: one work-item per predicated
-/// query row, enumerating its live bits word-parallel and evaluating the
-/// predicate against host-precomputed per-data-node attributes
-/// ([`NodeAttrs`]: degree, H-neighbor count, charge, smallest-ring size —
-/// one pass over the data adjacency per launch).
-///
-/// Returns the number of bits cleared.
-pub fn node_predicate_filter(
-    queue: &Queue,
-    data: &CsrGo,
-    pred_rows: &[(u32, NodePredicate)],
-    bitmap: &CandidateBitmap,
-    governor: &Governor,
-) -> u64 {
-    if pred_rows.is_empty() {
-        return 0;
-    }
-    let attrs = data.node_attrs();
-    let word_bytes = bitmap.word_width().bytes();
-    let n = data.num_nodes();
-    let row_words = n.div_ceil(64) as u64;
-    let snap = queue.parallel_for_chunks_until(
-        "node_predicate_filter",
-        "filter",
-        pred_rows.len(),
-        DELTA_ROWS_PER_GROUP,
-        || governor.stopped(),
-        |items, counters| {
-            let mut cleared = 0u64;
-            let mut tests = 0u64;
-            let mut words = 0u64;
-            let mut trip_sq = 0u64;
-            let mut rows_run = 0u64;
-            let mut visit = |r: usize| {
-                let (q, ref pred) = pred_rows[r];
-                let mut row_tests = 0u64;
-                for d in bitmap.iter_set_in_range(q as usize, 0, n) {
-                    row_tests += 1;
-                    if !pred.matches(&attrs, d as NodeId) {
-                        bitmap.clear(q as usize, d);
-                        cleared += 1;
-                    }
-                }
-                words += row_words;
-                tests += row_tests;
-                trip_sq += row_tests * row_tests;
-                rows_run += 1;
-            };
-            for r in items {
-                if governor.stopped() {
-                    break; // consult once per row, never per bit
-                }
-                visit(r);
-            }
-            // Cost shape mirrors the label-pair kernel: each scanned row
-            // loads its bitmap words once; each live bit loads the data
-            // node's packed attributes (8 bytes: degree, h-count, charge,
-            // min-ring) and runs one predicate evaluation; each row its
-            // own predicate record (16 bytes).
-            counters.add_instructions(REFINE_INSTR_PER_TEST * tests + words);
-            counters.add_word_reads(words, word_bytes);
-            counters.add_bytes_read(tests * 8 + rows_run * 16);
-            counters.add_atomics(cleared);
-            counters.add_bytes_written(cleared * word_bytes);
-            counters.record_trip_moments(tests, trip_sq, rows_run);
-        },
-    );
-    snap.atomic_ops
-}
-
-/// Reference sequential filter for correctness tests: computes, per query
-/// node, the exact candidate set after `iterations` refinement iterations
-/// (iteration 1 = label match plus node predicates) without any of the
-/// batched machinery.
-pub fn reference_filter(
-    queries: &CsrGo,
-    data: &CsrGo,
-    schema: &crate::LabelSchema,
-    iterations: usize,
-) -> Vec<Vec<NodeId>> {
-    use crate::signature::SignatureSet;
-    assert!(iterations >= 1);
-    let nq = queries.num_nodes();
-    let nd = data.num_nodes();
-    let attrs = data.node_attrs();
-    let mut cands: Vec<Vec<NodeId>> = (0..nq)
-        .map(|q| {
-            let ql = queries.label(q as NodeId);
-            let pred = queries.predicate(q as NodeId);
-            (0..nd as NodeId)
-                .filter(|&d| {
-                    (ql == WILDCARD_LABEL || data.label(d) == ql)
-                        && pred.is_none_or(|p| p.matches(&attrs, d))
-                })
-                .collect()
-        })
-        .collect();
-    let mut qs = SignatureSet::new(queries, schema.clone());
-    let mut ds = SignatureSet::new(data, schema.clone());
-    for _ in 1..iterations {
-        qs.advance(queries);
-        ds.advance(data);
-        for (q, set) in cands.iter_mut().enumerate() {
-            let qsig = qs.signature(q as NodeId);
-            set.retain(|&d| ds.signature(d).dominates(schema, &qsig));
-        }
-    }
-    cands
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -840,9 +726,23 @@ mod tests {
         Queue::new(DeviceProfile::host())
     }
 
-    /// Query: C-O (labels 1, 3). Data: two molecules — C(-O)(-H) and C-H.
+    /// A graph whose edges all carry the wildcard bond: its label-pair
+    /// signatures are empty, so init admits on labels alone.
+    fn any_bond(labels: &[u8], edges: &[(u32, u32)]) -> LabeledGraph {
+        let mut g = LabeledGraph::new();
+        for &l in labels {
+            g.add_node(l);
+        }
+        for &(a, b) in edges {
+            g.add_edge(a, b, WILDCARD_EDGE).unwrap();
+        }
+        g
+    }
+
+    /// Query: C~O (labels 1, 3, any bond). Data: two molecules — C(-O)(-H)
+    /// and C-H.
     fn tiny() -> (CsrGo, CsrGo) {
-        let q = LabeledGraph::from_edges(&[1, 3], &[(0, 1)]).unwrap();
+        let q = any_bond(&[1, 3], &[(0, 1)]);
         let d0 = LabeledGraph::from_edges(&[1, 3, 0], &[(0, 1), (0, 2)]).unwrap();
         let d1 = LabeledGraph::from_edges(&[1, 0], &[(0, 1)]).unwrap();
         (CsrGo::from_graphs(&[q]), CsrGo::from_graphs(&[d0, d1]))
@@ -852,7 +752,8 @@ mod tests {
     fn init_sets_label_matches_only() {
         let (queries, data) = tiny();
         let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
-        initialize_candidates(&queue(), &queries, &data, &bm, 64);
+        let rejected = initialize_candidates(&queue(), &queries, &data, &bm, 64);
+        assert_eq!(rejected, 0, "an any-bond query constrains no pair");
         // Query node 0 (C) matches data nodes 0 (C) and 3 (C).
         assert!(bm.get(0, 0));
         assert!(bm.get(0, 3));
@@ -916,13 +817,17 @@ mod tests {
                 ds.advance(&data);
                 refine_candidates(&q, &queries, &data, &qs, &ds, &bm, 64);
             }
-            let reference = reference_filter(&queries, &data, &schema, iters);
-            for (qn, expected) in reference.iter().enumerate() {
-                let got: Vec<NodeId> = bm
-                    .iter_set_in_range(qn, 0, data.num_nodes())
-                    .map(|c| c as NodeId)
-                    .collect();
-                assert_eq!(&got, expected, "query node {qn} at {iters} iterations");
+            let reference =
+                CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+            crate::naive::reference_filter(&queries, &data, &schema, iters, &reference);
+            for qn in 0..queries.num_nodes() {
+                for d in 0..data.num_nodes() {
+                    assert_eq!(
+                        bm.get(qn, d),
+                        reference.get(qn, d),
+                        "bit ({qn}, {d}) at {iters} iterations"
+                    );
+                }
             }
         }
     }
@@ -1026,7 +931,7 @@ mod tests {
 
     #[test]
     fn wildcard_query_node_accepts_all_labels() {
-        let q = LabeledGraph::from_edges(&[WILDCARD_LABEL, 3], &[(0, 1)]).unwrap();
+        let q = any_bond(&[WILDCARD_LABEL, 3], &[(0, 1)]);
         let d = LabeledGraph::from_edges(&[1, 3, 0], &[(0, 1), (0, 2)]).unwrap();
         let queries = CsrGo::from_graphs(&[q]);
         let data = CsrGo::from_graphs(&[d]);
@@ -1034,5 +939,55 @@ mod tests {
         initialize_candidates(&queue(), &queries, &data, &bm, 64);
         assert_eq!(bm.row_count(0), 3, "wildcard row holds every data node");
         assert_eq!(bm.row_count(1), 1);
+    }
+
+    #[test]
+    fn init_rejects_bond_mismatch_and_failed_predicate() {
+        // Query C=O (double bond) and a lone [CD2]. Data C-O (single bond)
+        // and C-C-C.
+        let mut q0 = LabeledGraph::new();
+        q0.add_node(1);
+        q0.add_node(3);
+        q0.add_edge(0, 1, 2).unwrap();
+        let mut q1 = LabeledGraph::from_edges(&[1], &[]).unwrap();
+        q1.set_predicate(
+            0,
+            NodePredicate {
+                degree: Some(2),
+                ..Default::default()
+            },
+        );
+        let d0 = LabeledGraph::from_edges(&[1, 3], &[(0, 1)]).unwrap();
+        let d1 = LabeledGraph::from_edges(&[1, 1, 1], &[(0, 1), (1, 2)]).unwrap();
+        let queries = CsrGo::from_graphs(&[q0, q1]);
+        let data = CsrGo::from_graphs(&[d0, d1]);
+        let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+        let rejected = initialize_candidates(&queue(), &queries, &data, &bm, 64);
+        // No data carbon has a double-bonded O (nor the O a double-bonded
+        // C), so the pair test rejects every label match of C=O. Of the
+        // four carbons, only the middle one of C-C-C has degree 2.
+        assert_eq!(bm.row_count(0), 0);
+        assert_eq!(bm.row_count(1), 0);
+        assert_eq!(bm.row_count(2), 1);
+        assert!(bm.get(2, 3), "the middle carbon of C-C-C");
+        // Row 0: 4 carbons; row 1: 1 oxygen; row 2: 3 rejected carbons.
+        assert_eq!(rejected, 4 + 1 + 3);
+        let buckets = LabelBuckets::build(&queries);
+        assert_eq!(
+            buckets.constrained_rows(),
+            3,
+            "two rows by their pair signature, one by its predicate"
+        );
+        // The per-bit oracle applies the same rule.
+        let slow = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+        assert_eq!(
+            crate::naive::initialize_candidates(&queries, &data, &slow),
+            rejected
+        );
+        for r in 0..queries.num_nodes() {
+            for c in 0..data.num_nodes() {
+                assert_eq!(bm.get(r, c), slow.get(r, c), "bit ({r}, {c})");
+            }
+        }
     }
 }

@@ -3,7 +3,9 @@
 //! This crate implements the paper's primary contribution (§3–§4):
 //!
 //! 1. **Candidate initialization** — per query node, every data node with a
-//!    matching label ([`filter::initialize_candidates`]);
+//!    matching label that also supplies the node's concrete
+//!    (bond, neighbor label) pairs and satisfies its SMARTS predicate, in
+//!    one kernel ([`filter::initialize_candidates`]);
 //! 2. **Iterative signature refinement** — node signatures count, per
 //!    label, the nodes within a growing radius; stored as frequency-skewed
 //!    masked bitsets in a single `u64` ([`Signature`], [`LabelSchema`]);

@@ -1,7 +1,7 @@
 //! Per-bit reference implementations of the filter/enumeration hot paths.
 //!
 //! These are the *pre-optimization* forms of the word-parallel kernels in
-//! [`crate::filter`] and [`crate::candidates`]: one label comparison per
+//! [`crate::filter`] and [`crate::candidates`]: one admission test per
 //! (query node × data node) in init, one domination test per surviving
 //! row in refine, one `get` probe per column when enumerating. They exist
 //! for two reasons:
@@ -16,23 +16,44 @@
 //! parallelism — so they stay an independent oracle.
 
 use crate::candidates::CandidateBitmap;
+use crate::filter::{pair_schema, pair_signature};
 use crate::schema::LabelSchema;
-use crate::signature::SignatureSet;
+use crate::signature::{Signature, SignatureSet};
 use sigmo_graph::{CsrGo, NodeId, WILDCARD_LABEL};
 
-/// Per-bit InitializeCandidates: for every data node, scans *all* query
-/// rows and sets the bit on a label match (or query wildcard).
-pub fn initialize_candidates(queries: &CsrGo, data: &CsrGo, bitmap: &CandidateBitmap) {
-    let nq = queries.num_nodes();
-    for d in 0..data.num_nodes() {
-        let dl = data.label(d as NodeId);
-        for q in 0..nq {
-            let ql = queries.label(q as NodeId);
-            if ql == dl || ql == WILDCARD_LABEL {
-                bitmap.set(q, d);
+/// Per-bit InitializeCandidates: for every (data node, query row) pair,
+/// evaluates the iteration-1 admission rule in loop form — the labels
+/// match (or the query node is a wildcard), the data node's label-pair
+/// signature dominates the query node's (both recomputed from scratch
+/// per bit; an empty query signature always passes), and the query
+/// node's predicate matches. Returns the number of label matches the pair
+/// and predicate tests rejected.
+pub fn initialize_candidates(queries: &CsrGo, data: &CsrGo, bitmap: &CandidateBitmap) -> u64 {
+    let schema = pair_schema();
+    let attrs = queries.has_predicates().then(|| data.node_attrs());
+    let mut rejected = 0u64;
+    for d in 0..data.num_nodes() as NodeId {
+        let dl = data.label(d);
+        for q in 0..queries.num_nodes() as NodeId {
+            let ql = queries.label(q);
+            if ql != dl && ql != WILDCARD_LABEL {
+                continue;
+            }
+            let qpair = pair_signature(queries, &schema, q);
+            let pair_ok = qpair == Signature::EMPTY
+                || pair_signature(data, &schema, d).dominates(&schema, &qpair);
+            let pred_ok = match (queries.predicate(q), &attrs) {
+                (Some(pred), Some(attrs)) => pred.matches(attrs, d),
+                _ => true,
+            };
+            if pair_ok && pred_ok {
+                bitmap.set(q as usize, d as usize);
+            } else {
+                rejected += 1;
             }
         }
     }
+    rejected
 }
 
 /// Per-row RefineCandidates: for every data node, probes every query row
@@ -67,15 +88,15 @@ pub fn refine_candidates(
     cleared
 }
 
-/// Per-bit reference of the *whole* filter phase: init plus exactly
-/// `iterations − 1` exhaustive refine rounds, never exiting early and
-/// never skipping clean rows or dead graphs. This is the oracle the
-/// convergence-driven paths (fixpoint early-exit, delta-driven refine,
-/// plan reuse) are pinned against: because refinement is monotone — query
-/// signatures stop moving and extra rounds against unchanged signatures
-/// cannot clear a bit — the incremental engine must produce a
-/// *bit-identical* bitmap to this exhaustive form. Returns the total bits
-/// cleared across rounds.
+/// Per-bit reference of the *whole* filter phase: the admission rule at
+/// init plus exactly `iterations − 1` exhaustive refine rounds, never
+/// exiting early and never skipping clean rows or dead graphs. This is
+/// the oracle the convergence-driven paths (query-convergence stop,
+/// delta-driven refine, plan reuse) are pinned against: because
+/// refinement is monotone — query signatures stop moving and extra
+/// rounds against unchanged signatures cannot clear a bit — the
+/// incremental engine must produce a *bit-identical* bitmap to this
+/// exhaustive form. Returns the total bits cleared across refine rounds.
 pub fn reference_filter(
     queries: &CsrGo,
     data: &CsrGo,
@@ -92,71 +113,6 @@ pub fn reference_filter(
         query_sigs.advance(queries);
         data_sigs.advance(data);
         cleared += refine_candidates(queries, &query_sigs, &data_sigs, bitmap, data.num_nodes());
-    }
-    cleared
-}
-
-/// Per-bit reference of the label-pair pre-check: for every set bit,
-/// recomputes both pair signatures from scratch and clears on a failed
-/// domination test. Shares the signature definition with the kernel
-/// (`filter::pair_signature`), so the differential test pins only the
-/// word-parallel row enumeration and the precomputed-row/ data-signature
-/// caching. Returns the number of bits cleared.
-// sigmo-lint: allow(per-bit-probe) — this IS the per-bit oracle for the
-// transposed word-parallel label_pair_filter kernel.
-pub fn label_pair_filter(
-    queries: &CsrGo,
-    data: &CsrGo,
-    schema: &LabelSchema,
-    bitmap: &CandidateBitmap,
-) -> u64 {
-    let mut cleared = 0u64;
-    for q in 0..queries.num_nodes() {
-        let qsig = crate::filter::pair_signature(queries, schema, q as NodeId);
-        if qsig == crate::signature::Signature::EMPTY {
-            continue;
-        }
-        for d in 0..data.num_nodes() {
-            if !bitmap.get(q, d) {
-                continue;
-            }
-            let dsig = crate::filter::pair_signature(data, schema, d as NodeId);
-            if !dsig.dominates(schema, &qsig) {
-                bitmap.clear(q, d);
-                cleared += 1;
-            }
-        }
-    }
-    cleared
-}
-
-/// Per-bit reference of the node-predicate filter: for every set bit of a
-/// predicated query row, evaluates the compiled [`NodePredicate`] against
-/// freshly built data-node attributes and clears on failure. Shares the
-/// evaluation function with the kernel (`NodePredicate::matches`), so the
-/// differential test pins only the word-parallel row enumeration and the
-/// host-side attribute precompute. Returns the number of bits cleared.
-// sigmo-lint: allow(per-bit-probe) — this IS the per-bit oracle for the
-// transposed word-parallel node_predicate_filter kernel.
-pub fn node_predicate_filter(queries: &CsrGo, data: &CsrGo, bitmap: &CandidateBitmap) -> u64 {
-    let attrs = data.node_attrs();
-    let mut cleared = 0u64;
-    for q in 0..queries.num_nodes() {
-        let Some(pred) = queries.predicate(q as NodeId) else {
-            continue;
-        };
-        if pred.is_trivial() {
-            continue;
-        }
-        for d in 0..data.num_nodes() {
-            if !bitmap.get(q, d) {
-                continue;
-            }
-            if !pred.matches(&attrs, d as NodeId) {
-                bitmap.clear(q, d);
-                cleared += 1;
-            }
-        }
     }
     cleared
 }
@@ -197,13 +153,16 @@ mod tests {
         use crate::candidates::WordWidth;
         use sigmo_graph::LabeledGraph;
         let queries = CsrGo::from_graphs(&[LabeledGraph::from_edges(&[1, 3], &[(0, 1)]).unwrap()]);
-        let data = CsrGo::from_graphs(&[LabeledGraph::from_edges(&[1, 1, 3], &[(0, 1)]).unwrap()]);
+        let data =
+            CsrGo::from_graphs(&[LabeledGraph::from_edges(&[1, 1, 3], &[(0, 1), (1, 2)]).unwrap()]);
         let schema = LabelSchema::organic();
         let bitmap = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
         let cleared = reference_filter(&queries, &data, &schema, 1, &bitmap);
         assert_eq!(cleared, 0, "a single iteration never refines");
-        // Label matches only: query C row has two C columns, O row one O.
-        assert_eq!(bitmap.row_count(0), 2);
+        // Admission only: the C row keeps just the carbon bonded to O (the
+        // pair test rejects the other), the O row its one O.
+        assert_eq!(bitmap.row_count(0), 1);
+        assert!(bitmap.get(0, 1));
         assert_eq!(bitmap.row_count(1), 1);
     }
 

@@ -9,27 +9,27 @@
 //! [`QueryPlan`] computes it exactly once:
 //!
 //! * query signatures advanced through every radius the configured
-//!   iteration count can reach, with the per-radius *active* counts the
-//!   engine's fixpoint early-exit consumes;
+//!   iteration count can reach;
 //! * [`SignatureClasses`] per radius, memoized — a radius where no query
 //!   signature moved shares the previous radius' classes by `Arc` instead
 //!   of rebuilding them;
 //! * [`DeltaClasses`] per radius — the dirty rows the incremental refine
 //!   kernel re-tests (empty once the query side converges, which is what
 //!   lets the engine stop refining early);
-//! * the label buckets for candidate initialization and the max-degree
-//!   join plans.
+//! * the per-row init table for candidate initialization
+//!   ([`LabelBuckets`]: label buckets, label-pair signatures, predicates)
+//!   and the max-degree join plans.
 //!
 //! The plan is immutable and `Sync`: [`crate::StreamRunner`] builds one
 //! per stream and every chunk borrows it; `sigmo-cluster` builds one per
 //! run and every rank borrows it.
 
 use crate::engine::EngineConfig;
-use crate::filter::{self, DeltaClasses, LabelBuckets, SignatureClasses};
+use crate::filter::{DeltaClasses, LabelBuckets, SignatureClasses};
 use crate::join;
 use crate::schema::LabelSchema;
 use crate::signature::{Signature, SignatureSet};
-use sigmo_graph::{CsrGo, LabeledGraph, NodePredicate};
+use sigmo_graph::{CsrGo, LabeledGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -54,9 +54,6 @@ struct RadiusState {
     /// Dirty rows (signature moved reaching this radius), grouped for the
     /// delta kernel.
     delta: DeltaClasses,
-    /// Nodes whose BFS ring was non-empty during the advance to this
-    /// radius ([`SignatureSet::advance`]'s return).
-    active: usize,
 }
 
 /// Precomputed, immutable query-side state for [`crate::Engine`] runs.
@@ -79,16 +76,6 @@ pub struct QueryPlan {
     /// Max-degree join plans per query graph (the data-aware
     /// min-candidates ordering still has to be built per run).
     join_plans: Vec<join::QueryPlan>,
-    /// Schema of the label-pair signatures (fixed 16 uniform buckets).
-    pair_schema: LabelSchema,
-    /// Query rows with a non-empty label-pair signature — the work list of
-    /// the label-pair pre-check kernel (a pure function of the batch).
-    pair_rows: Vec<(u32, Signature)>,
-    /// Query rows with a non-trivial compiled [`NodePredicate`] (SMARTS
-    /// atom lists, degree, ring, H-count, charge) — the work list of the
-    /// predicate filter kernel. Empty for predicate-free batches, in which
-    /// case that kernel never launches.
-    pred_rows: Vec<(u32, NodePredicate)>,
 }
 
 impl QueryPlan {
@@ -109,7 +96,7 @@ impl QueryPlan {
         let mut classes_builds = 0usize;
         let mut prev_sigs: Vec<Signature> = set.signatures().to_vec();
         for r in 1..=max_radius {
-            let active = set.advance(&csr);
+            set.advance(&csr);
             let sigs = set.signatures().to_vec();
             let delta = DeltaClasses::build(&config.schema, &prev_sigs, &sigs);
             if !delta.is_empty() {
@@ -129,19 +116,10 @@ impl QueryPlan {
                 sigs,
                 classes,
                 delta,
-                active,
             });
         }
         let join_plans = (0..csr.num_graphs())
             .map(|qg| join::QueryPlan::build(&csr, qg, config.induced))
-            .collect();
-        let pair_schema = filter::pair_schema();
-        let pair_rows = filter::pair_rows(&csr, &pair_schema);
-        let pred_rows = csr
-            .predicates()
-            .iter()
-            .filter(|(_, p)| !p.is_trivial())
-            .cloned()
             .collect();
         Self {
             csr,
@@ -152,9 +130,6 @@ impl QueryPlan {
             last_dirty_radius,
             classes_builds,
             join_plans,
-            pair_schema,
-            pair_rows,
-            pred_rows,
         }
     }
 
@@ -173,7 +148,7 @@ impl QueryPlan {
         self.induced
     }
 
-    /// The label buckets for candidate initialization.
+    /// The per-row init table for candidate initialization.
     pub fn buckets(&self) -> &LabelBuckets {
         &self.buckets
     }
@@ -220,33 +195,9 @@ impl QueryPlan {
         &self.state(radius).delta
     }
 
-    /// Query nodes whose BFS frontier was still active when advancing to
-    /// `radius` (1-based).
-    pub fn active_at(&self, radius: usize) -> usize {
-        self.state(radius).active
-    }
-
     /// The precomputed max-degree join plans, one per query graph.
     pub fn join_plans(&self) -> &[join::QueryPlan] {
         &self.join_plans
-    }
-
-    /// The label-pair signature schema.
-    pub fn pair_schema(&self) -> &LabelSchema {
-        &self.pair_schema
-    }
-
-    /// Query rows with a non-empty label-pair signature, ascending — the
-    /// pre-check kernel's work list (empty when every query edge or
-    /// neighbor is a wildcard, in which case the pre-check is skipped).
-    pub fn pair_rows(&self) -> &[(u32, Signature)] {
-        &self.pair_rows
-    }
-
-    /// Query rows with a non-trivial node predicate, ascending — the
-    /// predicate filter kernel's work list.
-    pub fn pred_rows(&self) -> &[(u32, NodePredicate)] {
-        &self.pred_rows
     }
 }
 
@@ -278,12 +229,6 @@ mod tests {
             plan.classes_at(2).classes().len(),
             plan.classes_at(5).classes().len()
         );
-        // Frontier counts drain: every node's radius-0 ring (itself) is
-        // non-empty entering the first advance, the isolated node drains
-        // there, and the C-O pair drains during the radius-2 call.
-        assert_eq!(plan.active_at(1), 3);
-        assert_eq!(plan.active_at(2), 2);
-        assert_eq!(plan.active_at(3), 0);
     }
 
     #[test]
@@ -305,12 +250,15 @@ mod tests {
     }
 
     #[test]
-    fn pair_rows_list_constrained_query_nodes_only() {
+    fn init_table_constrains_bonded_query_nodes_only() {
         let plan = QueryPlan::build(&queries(), &EngineConfig::default());
         // Both C-O endpoints carry one concrete (edge, neighbor) pair; the
-        // isolated C node has none and must not enter the work list.
-        let rows: Vec<u32> = plan.pair_rows().iter().map(|&(q, _)| q).collect();
-        assert_eq!(rows, vec![0, 1]);
+        // isolated C node has none and is admitted on its label alone.
+        let buckets = plan.buckets();
+        assert_ne!(buckets.pair(0), Signature::EMPTY);
+        assert_ne!(buckets.pair(1), Signature::EMPTY);
+        assert_eq!(buckets.pair(2), Signature::EMPTY);
+        assert_eq!(buckets.constrained_rows(), 2);
     }
 
     #[test]

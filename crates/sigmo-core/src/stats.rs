@@ -72,23 +72,24 @@ impl CandidateStats {
 /// the iteration's timings (Figures 5 and 6 share these rows).
 ///
 /// With convergence-driven filtering the vector of these records is also
-/// the run's *actual* iteration trace: an engine that exits at the filter
-/// fixpoint reports fewer entries than `refinement_iterations`, and the
-/// `cleared_bits` / `dirty_nodes` pair makes the early-exit and delta
-/// behavior observable (surfaced by the CLI `--profile` table).
+/// the run's *actual* iteration trace: an engine that stops once the query
+/// signatures converge reports fewer entries than `refinement_iterations`,
+/// and the `cleared_bits` / `dirty_nodes` pair makes the convergence stop
+/// and delta behavior observable (surfaced by the CLI `--profile` table).
 #[derive(Debug, Clone, Serialize)]
 pub struct IterationStats {
-    /// 1-based refinement iteration (1 = label-only initialization).
+    /// 1-based refinement iteration (1 = candidate initialization).
     pub iteration: usize,
     /// Candidate summary after this iteration's refinement.
     pub candidates: CandidateStats,
     /// Bits cleared by this iteration's refine kernel. Iteration 1 (init)
-    /// reports the label-pair pre-check's clears.
+    /// reports the label matches its label-pair and predicate tests
+    /// rejected.
     pub cleared_bits: u64,
     /// Query rows whose signature moved at this radius — the rows the
     /// delta kernel re-tested. Exhaustive (non-incremental) iterations
-    /// count every query row; iteration 1 (init) reports the rows the
-    /// label-pair pre-check scanned.
+    /// count every query row; iteration 1 (init) reports the rows with a
+    /// label-pair or predicate constraint, each counted once.
     pub dirty_nodes: u64,
 }
 

@@ -5,8 +5,8 @@
 //! node, the three facts a molecule digest can be tested against:
 //!
 //! * its concrete label (if not a wildcard),
-//! * its label-pair signature (the init-time pre-check input, taken
-//!   verbatim from [`QueryPlan::pair_rows`]),
+//! * its label-pair signature (the init-time admission input, read
+//!   verbatim from the plan's init table, [`QueryPlan::buckets`]),
 //! * its refined neighborhood signature at the *screen radius*
 //!   `min(index radius, plan.last_dirty_radius())` — query signatures
 //!   converge past `last_dirty_radius`, and data signatures only grow
@@ -83,29 +83,14 @@ impl ScreenQuery {
             .min(plan.last_dirty_radius())
             .min(plan.max_radius());
         let sigs = (sig_radius >= 1).then(|| plan.signatures_at(sig_radius));
-        // pair_rows and pred_rows are ascending by flat node id — walk
-        // them in lockstep.
-        let mut pair_rows = plan.pair_rows().iter().peekable();
-        let mut pred_rows = plan.pred_rows().iter().peekable();
+        let init = plan.buckets();
         let mut graphs = Vec::with_capacity(batch.num_graphs());
         for g in 0..batch.num_graphs() {
             let mut req = GraphReq::default();
             for v in batch.node_range(g) {
                 let label = batch.label(v);
-                let pair = match pair_rows.peek() {
-                    Some(&&(row, sig)) if row == v => {
-                        pair_rows.next();
-                        sig
-                    }
-                    _ => Signature::EMPTY,
-                };
-                let any_labels = match pred_rows.peek() {
-                    Some(&&(row, ref pred)) if row == v => {
-                        pred_rows.next();
-                        pred.label_any
-                    }
-                    _ => None,
-                };
+                let pair = init.pair(v as usize);
+                let any_labels = batch.predicate(v).and_then(|p| p.label_any);
                 let sig = sigs.map_or(Signature::EMPTY, |s| s[v as usize]);
                 let label = (label != WILDCARD_LABEL).then_some(label);
                 if label.is_none()
@@ -126,7 +111,7 @@ impl ScreenQuery {
                         req.labels.insert(i, l);
                     }
                 }
-                for (b, group) in plan.pair_schema().groups().iter().enumerate() {
+                for (b, group) in init.pair_schema().groups().iter().enumerate() {
                     if pair.0 & group.mask() != 0 {
                         req.buckets |= 1 << b;
                     }
@@ -136,7 +121,7 @@ impl ScreenQuery {
         }
         ScreenQuery {
             schema: plan.schema().clone(),
-            pair_schema: plan.pair_schema().clone(),
+            pair_schema: init.pair_schema().clone(),
             sig_radius,
             graphs,
         }

@@ -425,6 +425,9 @@ impl Server {
             outcome.reports.push(report);
             outcome.offsets.push(offset);
         }
+        // Nothing reads the queue's kernel log; dropping it every step
+        // keeps a long-running server's memory bounded.
+        self.queue.clear_records();
         outcome
     }
 
@@ -785,6 +788,32 @@ impl Server {
             batches: self.batches,
             index_screened: self.screened,
             index_pruned: self.pruned,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sigmo_device::DeviceProfile;
+    use sigmo_mol::parse_smiles;
+
+    #[test]
+    fn kernel_log_does_not_grow_across_steps() {
+        let mut server = Server::new(ServeConfig::default(), Queue::new(DeviceProfile::host()));
+        let request = |smiles: &str| MatchRequest {
+            queries: vec![parse_smiles("CO").unwrap().to_labeled_graph()],
+            molecules: vec![parse_smiles(smiles).unwrap().to_labeled_graph()],
+            mode: MatchMode::FindAll,
+        };
+        for smiles in ["CCO", "OCCO", "CC(=O)O", "c1ccccc1O", "CCN"] {
+            server.submit(&request(smiles)).unwrap();
+            let outcome = server.step();
+            assert_eq!(outcome.reports.len(), 1);
+            assert!(
+                server.queue.records().is_empty(),
+                "the kernel log must not outlive its step"
+            );
         }
     }
 }

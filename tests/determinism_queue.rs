@@ -224,11 +224,7 @@ fn every_filter_mode_is_deterministic_across_thread_counts() {
     // geometry + counter totals) must be a pure function of the workload.
     let _guard = ENV_LOCK.lock().unwrap();
     let mut totals = Vec::new();
-    for mode in [
-        FilterMode::Exhaustive,
-        FilterMode::EarlyExit,
-        FilterMode::Incremental,
-    ] {
+    for mode in [FilterMode::Exhaustive, FilterMode::Incremental] {
         let (m1, r1) = run_pipeline_mode("1", mode);
         let (m4, r4) = run_pipeline_mode("4", mode);
         let (m8, r8) = run_pipeline_mode("8", mode);
@@ -243,8 +239,7 @@ fn every_filter_mode_is_deterministic_across_thread_counts() {
         totals[0] > 0,
         "workload produced no matches — test is vacuous"
     );
-    assert_eq!(totals[0], totals[1], "EarlyExit changed the match total");
-    assert_eq!(totals[0], totals[2], "Incremental changed the match total");
+    assert_eq!(totals[0], totals[1], "Incremental changed the match total");
 }
 
 /// One serve-soak run's full observable surface: per-request outcomes

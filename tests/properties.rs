@@ -64,18 +64,20 @@ proptest! {
     }
 
     /// Filter soundness: every data node participating in a true embedding
-    /// survives any number of refinement iterations.
+    /// passes init's admission rule (labels, and the label-pair check over
+    /// bonds 1–3) and survives any number of refinement iterations.
     #[test]
     fn filter_never_prunes_true_candidates(q in arb_graph(4), d in arb_graph(8), iters in 1usize..5) {
         let embeddings = UllmannMatcher.enumerate(&q, &d, usize::MAX);
         let queries = CsrGo::from_graphs(std::slice::from_ref(&q));
         let data = CsrGo::from_graphs(std::slice::from_ref(&d));
         let schema = LabelSchema::organic();
-        let cands = filter::reference_filter(&queries, &data, &schema, iters);
+        let cands = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+        naive::reference_filter(&queries, &data, &schema, iters, &cands);
         for emb in &embeddings {
             for (qn, &dn) in emb.iter().enumerate() {
                 prop_assert!(
-                    cands[qn].contains(&dn),
+                    cands.get(qn, dn as usize),
                     "iteration {} pruned true candidate q{} -> d{}", iters, qn, dn
                 );
             }
@@ -209,7 +211,7 @@ proptest! {
         }
     }
 
-    /// All three engine filter modes agree on totals and matched pairs for
+    /// Both engine filter modes agree on totals and matched pairs for
     /// random workloads — the engine-level face of the bit-identity above.
     #[test]
     fn filter_modes_agree_on_random_workloads(
@@ -226,11 +228,8 @@ proptest! {
             .run(std::slice::from_ref(&q), std::slice::from_ref(&d), &queue())
         };
         let ex = run(FilterMode::Exhaustive);
-        let ee = run(FilterMode::EarlyExit);
         let inc = run(FilterMode::Incremental);
-        prop_assert_eq!(ex.total_matches, ee.total_matches);
         prop_assert_eq!(ex.total_matches, inc.total_matches);
-        prop_assert_eq!(&ex.matched_pair_list, &ee.matched_pair_list);
         prop_assert_eq!(&ex.matched_pair_list, &inc.matched_pair_list);
         prop_assert!(inc.iterations.len() <= ex.iterations.len());
     }

@@ -1,8 +1,8 @@
 //! Differential pin for SMARTS predicate queries: the word-parallel
-//! engine path must be *bit-identical* to the per-bit naive oracle at the
-//! predicate-filter stage, and the full engine must agree exactly with the
-//! predicate-aware brute-force matcher on match totals — under rayon
-//! thread counts 1, 4 and 8.
+//! candidate init, which applies the predicates, must be *bit-identical*
+//! to the per-bit naive oracle, and the full engine must agree exactly
+//! with the predicate-aware brute-force matcher on match totals — under
+//! rayon thread counts 1, 4 and 8.
 //!
 //! Kept alone in this file: it mutates `RAYON_NUM_THREADS`, and each
 //! integration-test file runs as its own process, so the env var cannot
@@ -12,9 +12,9 @@
 use std::sync::Mutex;
 
 use sigmo::baselines::{BruteForceMatcher, Matcher};
-use sigmo::core::{filter, naive, CandidateBitmap, Engine, EngineConfig, Governor, WordWidth};
+use sigmo::core::{filter, naive, CandidateBitmap, Engine, EngineConfig, WordWidth};
 use sigmo::device::{DeviceProfile, KernelRecord, Queue};
-use sigmo::graph::{CsrGo, LabeledGraph, NodePredicate};
+use sigmo::graph::{CsrGo, LabeledGraph};
 use sigmo::mol::{parse_smarts, parse_smiles, MoleculeGenerator};
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -108,53 +108,40 @@ fn assert_bitmaps_identical(fast: &CandidateBitmap, slow: &CandidateBitmap, stag
     }
 }
 
-/// Word-parallel init → label-pair pre-check → predicate filter, against
-/// the per-bit naive forms of all three stages, under each thread count.
+/// The word-parallel init kernel — label, label-pair and predicate tests
+/// in one launch — against the per-bit naive form of the same rule, under
+/// each thread count.
 #[test]
 fn predicate_filter_stage_is_bit_identical_to_naive() {
     let _guard = ENV_LOCK.lock().unwrap();
+    let queries = CsrGo::from_graphs(&panel());
+    assert!(
+        queries.predicates().iter().any(|(_, p)| !p.is_trivial()),
+        "the SMARTS panel must compile to real predicate rows"
+    );
     for threads in ["1", "4", "8"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
         for seed in [11u64, 47] {
-            let queries = CsrGo::from_graphs(&panel());
             let data = CsrGo::from_graphs(&corpus(seed));
             let queue = Queue::new(DeviceProfile::host());
-            let schema = filter::pair_schema();
-            let governor = Governor::unlimited();
 
             let fast = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
             let slow = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
-
-            filter::initialize_candidates(&queue, &queries, &data, &fast, 64);
-            naive::initialize_candidates(&queries, &data, &slow);
-            assert_bitmaps_identical(&fast, &slow, &format!("init (seed {seed})"));
-
-            let pair_rows = filter::pair_rows(&queries, &schema);
-            let fast_pair =
-                filter::label_pair_filter(&queue, &data, &schema, &pair_rows, &fast, &governor);
-            let slow_pair = naive::label_pair_filter(&queries, &data, &schema, &slow);
-            assert_eq!(fast_pair, slow_pair, "pair-filter cleared (seed {seed})");
-            assert_bitmaps_identical(&fast, &slow, &format!("pair filter (seed {seed})"));
-
-            let pred_rows: Vec<(u32, NodePredicate)> = queries
-                .predicates()
-                .iter()
-                .filter(|(_, p)| !p.is_trivial())
-                .map(|(v, p)| (*v, p.clone()))
-                .collect();
-            assert!(
-                !pred_rows.is_empty(),
-                "the SMARTS panel must compile to real predicate rows"
+            let fast_rejected = filter::initialize_candidates(&queue, &queries, &data, &fast, 64);
+            let slow_rejected = naive::initialize_candidates(&queries, &data, &slow);
+            assert_eq!(
+                fast_rejected, slow_rejected,
+                "rejected bits (seed {seed}, {threads} threads)"
             );
-            let fast_pred =
-                filter::node_predicate_filter(&queue, &data, &pred_rows, &fast, &governor);
-            let slow_pred = naive::node_predicate_filter(&queries, &data, &slow);
-            assert_eq!(fast_pred, slow_pred, "predicate cleared (seed {seed})");
             assert!(
-                fast_pred > 0,
-                "predicate filter must actually clear bits (seed {seed})"
+                fast_rejected > 0,
+                "the pair and predicate tests must actually reject bits (seed {seed})"
             );
-            assert_bitmaps_identical(&fast, &slow, &format!("predicate filter (seed {seed})"));
+            assert_bitmaps_identical(
+                &fast,
+                &slow,
+                &format!("init (seed {seed}, {threads} threads)"),
+            );
         }
     }
     std::env::remove_var("RAYON_NUM_THREADS");
