@@ -2,7 +2,8 @@
 //!
 //! Measures the three hot paths the word-parallel rework touched —
 //! candidate initialization (label-bucketed vs full row scan), signature
-//! refinement (signature-class deduped vs per-row), and set-bit
+//! refinement (row-major word walk over every row vs per-bit probes), and
+//! set-bit
 //! enumeration (`trailing_zeros` word walk vs per-column `get`) — against
 //! the `sigmo_core::naive` per-bit oracle on the same filter-dominated
 //! synthetic workload the other filter benches use. Refinement is timed
@@ -17,7 +18,8 @@
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use sigmo_core::{
     filter::{initialize_candidates, refine_candidates},
-    naive, CandidateBitmap, LabelSchema, SignatureSet, WordWidth,
+    naive, CandidateBitmap, DeltaClasses, Governor, LabelSchema, Signature, SignatureSet,
+    WordWidth,
 };
 use sigmo_device::{DeviceProfile, Queue};
 use sigmo_graph::CsrGo;
@@ -80,16 +82,20 @@ impl RefineWorld {
         )
     }
 
+    /// A from-scratch refine: the one kernel over every row with a
+    /// non-empty signature, each with its full field mask.
     fn refine_word_parallel(&self) -> u64 {
         self.scratch.copy_from(&self.seeded);
+        let cur = self.qs.signatures();
+        let delta = DeltaClasses::build(self.qs.schema(), &vec![Signature::EMPTY; cur.len()], cur);
         refine_candidates(
             &self.queue,
-            &self.queries,
             &self.data,
-            &self.qs,
+            self.qs.schema(),
+            &delta,
             &self.ds,
             &self.scratch,
-            1024,
+            &Governor::unlimited(),
         )
     }
 }
@@ -136,10 +142,7 @@ fn bench_refine(c: &mut Criterion) {
 /// A refined bitmap ready to enumerate, shared by both enumeration sides.
 fn enumerate_world(n: usize) -> (CandidateBitmap, usize) {
     let w = RefineWorld::build(n);
-    w.scratch.copy_from(&w.seeded);
-    refine_candidates(
-        &w.queue, &w.queries, &w.data, &w.qs, &w.ds, &w.scratch, 1024,
-    );
+    w.refine_word_parallel();
     let nd = w.data.num_nodes();
     let bm = CandidateBitmap::new(w.queries.num_nodes(), nd, WordWidth::U64);
     bm.copy_from(&w.scratch);

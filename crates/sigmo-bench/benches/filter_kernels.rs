@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sigmo_core::{
     filter::{initialize_candidates, refine_candidates},
-    CandidateBitmap, LabelSchema, SignatureSet, WordWidth,
+    CandidateBitmap, DeltaClasses, Governor, LabelSchema, Signature, SignatureSet, WordWidth,
 };
 use sigmo_device::{DeviceProfile, Queue};
 use sigmo_graph::CsrGo;
@@ -64,12 +64,16 @@ fn bench_refine(c: &mut Criterion) {
         let mut ds = SignatureSet::new(&data, schema.clone());
         qs.advance(&queries);
         ds.advance(&data);
+        // Every row with a non-empty signature, each with its full mask.
+        let empty = vec![Signature::EMPTY; queries.num_nodes()];
+        let delta = DeltaClasses::build(&schema, &empty, qs.signatures());
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let bm =
                     CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
                 initialize_candidates(&queue, &queries, &data, &bm, 1024);
-                refine_candidates(&queue, &queries, &data, &qs, &ds, &bm, 1024)
+                let gov = Governor::unlimited();
+                refine_candidates(&queue, &data, &schema, &delta, &ds, &bm, &gov)
             })
         });
     }

@@ -33,16 +33,29 @@ fn main() {
     let qb = CsrGo::from_graphs(d.queries());
     let db = d.data_batch();
     let bitmap = {
-        use sigmo_core::{filter, CandidateBitmap, LabelSchema, SignatureSet, WordWidth};
+        use sigmo_core::{
+            filter, CandidateBitmap, DeltaClasses, Governor, LabelSchema, Signature, SignatureSet,
+            WordWidth,
+        };
         let bm = CandidateBitmap::new(qb.num_nodes(), db.num_nodes(), WordWidth::U64);
         filter::initialize_candidates(&queue, &qb, &db, &bm, 1024);
         let schema = LabelSchema::organic();
         let mut qs = SignatureSet::new(&qb, schema.clone());
-        let mut ds = SignatureSet::new(&db, schema);
+        let mut ds = SignatureSet::new(&db, schema.clone());
+        let empty = vec![Signature::EMPTY; qb.num_nodes()];
         for _ in 1..8 {
             qs.advance(&qb);
             ds.advance(&db);
-            filter::refine_candidates(&queue, &qb, &db, &qs, &ds, &bm, 1024);
+            let delta = DeltaClasses::build(&schema, &empty, qs.signatures());
+            filter::refine_candidates(
+                &queue,
+                &db,
+                &schema,
+                &delta,
+                &ds,
+                &bm,
+                &Governor::unlimited(),
+            );
         }
         bm
     };

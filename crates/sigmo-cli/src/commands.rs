@@ -894,7 +894,7 @@ mod tests {
         assert!(out.stdout.contains("candidates"), "{}", out.stdout);
         assert!(out.stdout.contains("cleared"), "{}", out.stdout);
         assert!(out.stdout.contains("dirty"), "{}", out.stdout);
-        // The default incremental engine converges fast on tiny queries:
+        // The engine stops refining once tiny queries converge:
         // the table rows are the iterations actually run, not the
         // configured six.
         let rows = out

@@ -7,9 +7,7 @@
 //! ```
 
 use crate::candidates::{CandidateBitmap, WordWidth};
-use crate::filter::{
-    initialize_candidates_bucketed, refine_candidates_classes, refine_candidates_delta,
-};
+use crate::filter::{initialize_candidates_bucketed, refine_candidates};
 use crate::governor::{Completion, Governor};
 use crate::join::cost::{JoinVariant, OrderChoice};
 use crate::join::{
@@ -75,24 +73,6 @@ impl JoinStrategy {
     }
 }
 
-/// How the filter phase schedules refinement work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FilterMode {
-    /// The paper's fixed schedule: every iteration re-tests every
-    /// signature class against every data node, for exactly
-    /// `refinement_iterations` rounds. Kept as the oracle baseline for
-    /// the differential tests and the `ablate_filter_convergence` bench.
-    Exhaustive,
-    /// Delta-driven refinement (default): each iteration re-tests only
-    /// the signature classes whose representative signature moved at this
-    /// radius, skips data graphs with no live candidate left, and stops
-    /// as soon as the query side converges. Bit-identical to
-    /// [`FilterMode::Exhaustive`] by the monotonicity argument in
-    /// DESIGN.md §4b.
-    #[default]
-    Incremental,
-}
-
 /// Engine configuration. Defaults follow the paper's V100S tuning
 /// (Table 1) and its observed optimum of six refinement iterations.
 #[derive(Debug, Clone)]
@@ -101,7 +81,11 @@ pub struct EngineConfig {
     /// initialization; iteration `i` extends each node's view to radius
     /// `i − 1` (§5.1).
     pub refinement_iterations: usize,
-    /// Filter kernel work-group size (Table 1: 1024 on V100S).
+    /// Work-group size of candidate initialization and the GMCR mapping
+    /// kernels (Table 1's filter tunable: 1024 on V100S). Refinement
+    /// dispatches dirty query rows in fixed groups of
+    /// `DELTA_ROWS_PER_GROUP` (see [`crate::filter::refine_candidates`]),
+    /// so this field does not size it.
     pub filter_work_group_size: usize,
     /// Join kernel work-group size (Table 1: 128 on V100S).
     pub join_work_group_size: usize,
@@ -115,12 +99,13 @@ pub struct EngineConfig {
     /// Collect at most this many embeddings in the report.
     pub collect_limit: Option<usize>,
     /// Signature schema; defaults to the frequency-skewed organic layout.
+    /// Read when the engine builds its own [`QueryPlan`] (`run`,
+    /// `run_with_governor`); a prebuilt plan refines under the schema it
+    /// was built with ([`QueryPlan::schema`]).
     pub schema: LabelSchema,
     /// Join matching-order heuristic (used by the fixed strategies; the
     /// adaptive strategies pick per pair).
     pub join_order: JoinOrder,
-    /// Refinement scheduling: exhaustive or delta-driven.
-    pub filter_mode: FilterMode,
     /// Join variant selection: fixed DFS/BFS or per-pair adaptive.
     pub join_strategy: JoinStrategy,
 }
@@ -137,7 +122,6 @@ impl Default for EngineConfig {
             collect_limit: None,
             schema: LabelSchema::organic(),
             join_order: JoinOrder::default(),
-            filter_mode: FilterMode::default(),
             join_strategy: JoinStrategy::default(),
         }
     }
@@ -297,51 +281,24 @@ impl Engine {
         &self.config
     }
 
-    /// Runs the full pipeline on pre-batched inputs with no budgets: the
-    /// governor is unlimited, so behavior is identical to the pre-governor
-    /// engine and the report always comes back `Complete`.
-    pub fn run_batched(&self, queries: &CsrGo, data: &CsrGo, queue: &Queue) -> RunReport {
-        self.run_batched_with_governor(queries, data, queue, &Governor::unlimited())
-    }
-
-    /// Runs the full pipeline under a [`Governor`]. The governor's
-    /// heartbeat is consulted at every phase boundary, inside the filter
-    /// kernels once per data node, and inside the join once per DFS step;
-    /// a tripped governor yields a well-formed report whose `completion`
-    /// records the truncation reason and whose totals are sound partial
-    /// results.
-    // sigmo-lint: allow(wall-clock-in-result) — phase wall timings are
-    // display-only, excluded from determinism keys (the suites compare
-    // counters and match totals, never `timings`).
-    pub fn run_batched_with_governor(
-        &self,
-        queries: &CsrGo,
-        data: &CsrGo,
-        queue: &Queue,
-        governor: &Governor,
-    ) -> RunReport {
-        // One-shot runs build their plan inline; the plan construction is
-        // query-side-only precomputation, so it counts as setup time.
-        let t0 = Instant::now();
-        let plan = QueryPlan::from_batch(queries.clone(), &self.config);
-        let plan_build = t0.elapsed();
-        let mut report = self.run_planned_with_governor(&plan, data, queue, governor);
-        report.timings.setup += plan_build;
-        report
-    }
-
     /// Runs the pipeline against a prebuilt [`QueryPlan`] with no budgets.
     /// This is the reuse entry point: [`crate::StreamRunner`] builds one
     /// plan per stream and calls this per chunk; `sigmo-cluster` shares
-    /// one plan across all ranks.
+    /// one plan across all ranks. Refinement runs under the plan's
+    /// signature schema, whatever `EngineConfig::schema` says.
     pub fn run_planned(&self, plan: &QueryPlan, data: &CsrGo, queue: &Queue) -> RunReport {
         self.run_planned_with_governor(plan, data, queue, &Governor::unlimited())
     }
 
-    /// [`Engine::run_planned`] under a [`Governor`].
+    /// [`Engine::run_planned`] under a [`Governor`]. The governor's
+    /// heartbeat is consulted at every phase boundary, inside the filter
+    /// kernels once per data node or dirty row, and inside the join once
+    /// per DFS step; a tripped governor yields a well-formed report whose
+    /// `completion` records the truncation reason and whose totals are
+    /// sound partial results.
     // sigmo-lint: allow(wall-clock-in-result) — phase wall timings are
-    // display-only, excluded from determinism keys (see
-    // `run_batched_with_governor`).
+    // display-only, excluded from determinism keys (the suites compare
+    // counters and match totals, never `timings`).
     pub fn run_planned_with_governor(
         &self,
         plan: &QueryPlan,
@@ -363,12 +320,16 @@ impl Engine {
             "plan and config disagree on induced semantics"
         );
         let queries = plan.batch();
+        // The plan's query signatures and deltas were built under its
+        // schema; data signatures must share that layout for domination
+        // to mean anything.
+        let schema = plan.schema();
 
         // ❷ allocate candidates + signature state (query-side state comes
         // precomputed from the plan).
         let t0 = Instant::now();
         let bitmap = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), cfg.bitmap_word);
-        let mut data_sigs = SignatureSet::new(data, cfg.schema.clone());
+        let mut data_sigs = SignatureSet::new(data, schema.clone());
         // Figure 2's input arrows: queries + molecules move host → device.
         queue.record_transfer(
             "h2d_graphs",
@@ -406,56 +367,30 @@ impl Engine {
                 break;
             }
             let radius = it - 1;
-            if cfg.filter_mode == FilterMode::Incremental && radius > plan.last_dirty_radius() {
+            if radius > plan.last_dirty_radius() {
                 // Query-side fixpoint: no query signature will ever move
                 // again, so no remaining iteration can clear a bit
                 // (DESIGN.md §4b). Skipped work is never charged or ticked.
                 break;
             }
             data_sigs.advance(data);
-            let (cleared, dirty) = match cfg.filter_mode {
-                FilterMode::Exhaustive => {
-                    let cleared = refine_candidates_classes(
-                        queue,
-                        data,
-                        &cfg.schema,
-                        plan.classes_at(radius),
-                        &data_sigs,
-                        &bitmap,
-                        cfg.filter_work_group_size,
-                        governor,
-                    );
-                    (cleared, queries.num_nodes() as u64)
-                }
-                FilterMode::Incremental => {
-                    let delta = plan.delta_at(radius);
-                    if delta.is_empty() {
-                        // Rings still moving, but only through wildcard or
-                        // saturated labels: no signature moved, nothing to
-                        // test. Skip the launch entirely.
-                        (0, 0)
-                    } else {
-                        // The transposed kernel scans only the dirty rows'
-                        // bitmap words; dead data graphs are all-zero
-                        // columns and cost 1/64th of a word load each.
-                        let cleared = refine_candidates_delta(
-                            queue,
-                            data,
-                            &cfg.schema,
-                            delta,
-                            &data_sigs,
-                            &bitmap,
-                            governor,
-                        );
-                        (cleared, delta.dirty_rows() as u64)
-                    }
-                }
+            let delta = plan.delta_at(radius);
+            let cleared = if delta.is_empty() {
+                // Rings still moving, but only through wildcard or
+                // saturated labels: no signature moved, nothing to test.
+                // Skip the launch entirely.
+                0
+            } else {
+                // The row-major kernel scans only the dirty rows' bitmap
+                // words; dead data graphs are all-zero columns and cost
+                // 1/64th of a word load each.
+                refine_candidates(queue, data, schema, delta, &data_sigs, &bitmap, governor)
             };
             iterations.push(IterationStats {
                 iteration: it,
                 candidates: CandidateStats::from_bitmap(&bitmap),
                 cleared_bits: cleared,
-                dirty_nodes: dirty,
+                dirty_nodes: delta.dirty_rows() as u64,
             });
         }
         let filter = t1.elapsed();
@@ -561,19 +496,22 @@ impl Engine {
         }
     }
 
-    /// Convenience: batches the graph lists and runs.
+    /// Convenience: batches the graph lists and runs with no budgets: the
+    /// governor is unlimited, so the report always comes back `Complete`.
     pub fn run(
         &self,
         query_graphs: &[LabeledGraph],
         data_graphs: &[LabeledGraph],
         queue: &Queue,
     ) -> RunReport {
-        let queries = CsrGo::from_graphs(query_graphs);
-        let data = CsrGo::from_graphs(data_graphs);
-        self.run_batched(&queries, &data, queue)
+        self.run_with_governor(query_graphs, data_graphs, queue, &Governor::unlimited())
     }
 
-    /// Convenience: batches the graph lists and runs under a [`Governor`].
+    /// Convenience: batches the graph lists and runs under a [`Governor`]
+    /// (see [`Engine::run_planned_with_governor`]).
+    // sigmo-lint: allow(wall-clock-in-result) — phase wall timings are
+    // display-only, excluded from determinism keys (the suites compare
+    // counters and match totals, never `timings`).
     pub fn run_with_governor(
         &self,
         query_graphs: &[LabeledGraph],
@@ -581,9 +519,16 @@ impl Engine {
         queue: &Queue,
         governor: &Governor,
     ) -> RunReport {
+        // One-shot runs build their plan inline; the plan construction is
+        // query-side-only precomputation, so it counts as setup time.
         let queries = CsrGo::from_graphs(query_graphs);
         let data = CsrGo::from_graphs(data_graphs);
-        self.run_batched_with_governor(&queries, &data, queue, governor)
+        let t0 = Instant::now();
+        let plan = QueryPlan::from_batch(queries, &self.config);
+        let plan_build = t0.elapsed();
+        let mut report = self.run_planned_with_governor(&plan, &data, queue, governor);
+        report.timings.setup += plan_build;
+        report
     }
 }
 
@@ -608,64 +553,98 @@ mod tests {
         g
     }
 
+    /// The per-bit oracle's filter trace: `(candidates, cleared_bits)`
+    /// after each of iterations `1..=iterations` of the fixed schedule
+    /// ([`crate::naive::reference_filter`]), never stopping early.
+    fn reference_trace(
+        queries: &[LabeledGraph],
+        data: &[LabeledGraph],
+        iterations: usize,
+    ) -> Vec<(usize, u64)> {
+        let (queries, data) = (CsrGo::from_graphs(queries), CsrGo::from_graphs(data));
+        let schema = LabelSchema::organic();
+        let bitmap = || CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+        let init = bitmap();
+        let rejected = crate::naive::initialize_candidates(&queries, &data, &init);
+        let mut trace = vec![(init.total_count(), rejected)];
+        let mut cleared_so_far = 0;
+        for it in 2..=iterations {
+            let bm = bitmap();
+            let cleared = crate::naive::reference_filter(&queries, &data, &schema, it, &bm);
+            trace.push((bm.total_count(), cleared - cleared_so_far));
+            cleared_so_far = cleared;
+        }
+        trace
+    }
+
     #[test]
     fn end_to_end_tiny() {
         // Query C-O; data: ethanol-ish heavy skeleton C-C-O and methane C.
         let q = labeled(&[1, 3], &[(0, 1, 1)]);
-        let d0 = labeled(&[1, 1, 3], &[(0, 1, 1), (1, 2, 1)]);
-        let d1 = labeled(&[1], &[]);
+        let d = [
+            labeled(&[1, 1, 3], &[(0, 1, 1), (1, 2, 1)]),
+            labeled(&[1], &[]),
+        ];
         let engine = Engine::with_defaults();
-        let report = engine.run(&[q.clone()], &[d0.clone(), d1.clone()], &queue());
+        let report = engine.run(std::slice::from_ref(&q), &d, &queue());
         assert_eq!(report.total_matches, 1);
         assert_eq!(report.matched_pair_list, vec![(0, 0)]);
-        // The diameter-1 query converges after radius 1: the default
-        // incremental mode stops after iteration 2 instead of running the
-        // configured 6.
+        // The diameter-1 query converges after radius 1: the engine stops
+        // after iteration 2 instead of running the configured 6, and the
+        // oracle's full fixed schedule ends on the same candidate count.
         assert_eq!(report.iterations.len(), 2);
-        // The exhaustive oracle still runs the full fixed schedule and
-        // produces identical results.
-        let exhaustive = Engine::new(EngineConfig {
-            filter_mode: FilterMode::Exhaustive,
-            ..Default::default()
-        })
-        .run(&[q], &[d0, d1], &queue());
-        assert_eq!(exhaustive.iterations.len(), 6);
-        assert_eq!(exhaustive.total_matches, report.total_matches);
-        assert_eq!(exhaustive.matched_pair_list, report.matched_pair_list);
+        let reference = reference_trace(&[q], &d, 6);
+        assert_eq!(
+            report.iterations[1].candidates.total, reference[5].0,
+            "stopping early lost or kept a bit the fixed schedule would not"
+        );
     }
 
     #[test]
-    fn filter_modes_agree_and_stop_early() {
+    fn filter_trace_matches_reference_and_stops_early() {
         let q = labeled(&[1, 3], &[(0, 1, 1)]);
         let d: Vec<LabeledGraph> = vec![
             labeled(&[1, 1, 3], &[(0, 1, 1), (1, 2, 1)]),
             labeled(&[1, 3, 2], &[(0, 1, 1), (0, 2, 1)]),
             labeled(&[1, 1], &[(0, 1, 1)]),
         ];
-        let mk = |mode| {
-            Engine::new(EngineConfig {
-                refinement_iterations: 8,
-                filter_mode: mode,
-                ..Default::default()
-            })
-            .run(std::slice::from_ref(&q), &d, &queue())
-        };
-        let ex = mk(FilterMode::Exhaustive);
-        let inc = mk(FilterMode::Incremental);
-        assert_eq!(ex.iterations.len(), 8, "exhaustive runs the full schedule");
-        assert!(inc.iterations.len() < 8, "incremental stops at convergence");
-        assert_eq!(inc.total_matches, ex.total_matches);
-        assert_eq!(inc.matched_pair_list, ex.matched_pair_list);
-        assert_eq!(inc.gmcr_pairs, ex.gmcr_pairs);
-        // On the iterations every mode ran, the bitmaps evolve identically.
-        for (a, b) in ex.iterations.iter().zip(&inc.iterations) {
-            assert_eq!(a.candidates.total, b.candidates.total);
-            assert_eq!(a.cleared_bits, b.cleared_bits);
+        let report = Engine::new(EngineConfig::with_iterations(8)).run(
+            std::slice::from_ref(&q),
+            &d,
+            &queue(),
+        );
+        assert!(
+            report.iterations.len() < 8,
+            "the engine stops at convergence"
+        );
+        let reference = reference_trace(std::slice::from_ref(&q), &d, 8);
+        // On the iterations the engine ran, its trace is the oracle's.
+        for (it, &(candidates, cleared)) in report.iterations.iter().zip(&reference) {
+            assert_eq!(
+                it.candidates.total, candidates,
+                "iteration {}",
+                it.iteration
+            );
+            assert_eq!(it.cleared_bits, cleared, "iteration {}", it.iteration);
+            assert!(
+                it.dirty_nodes <= 2,
+                "at most the query's two rows re-tested"
+            );
         }
-        // Delta iterations re-test at most as many rows as exhaustive ones.
-        for (a, b) in ex.iterations.iter().zip(&inc.iterations).skip(1) {
-            assert!(b.dirty_nodes <= a.dirty_nodes);
+        // The iterations it skipped clear nothing in the oracle either.
+        for &(candidates, cleared) in &reference[report.iterations.len()..] {
+            assert_eq!(cleared, 0);
+            assert_eq!(
+                candidates,
+                report.iterations.last().unwrap().candidates.total
+            );
         }
+        // Mapping over the oracle's final bitmap keeps the same pairs.
+        let (queries, data) = (CsrGo::from_graphs(&[q]), CsrGo::from_graphs(&d));
+        let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+        crate::naive::reference_filter(&queries, &data, &LabelSchema::organic(), 8, &bm);
+        let gmcr = Gmcr::build(&queue(), &queries, &data, &bm, 64);
+        assert_eq!(report.gmcr_pairs, gmcr.num_pairs());
     }
 
     #[test]

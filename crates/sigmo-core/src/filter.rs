@@ -7,12 +7,15 @@
 //!   per batch, which also carries each row's pair signature and
 //!   predicate), so each data node only walks the rows it can admit —
 //!   O(matching rows) instead of O(|V_Q|);
-//! * [`refine_candidates`] — one work-item per data node; query nodes are
-//!   grouped into signature-equivalence classes ([`SignatureClasses`],
-//!   rebuilt each iteration) and one domination test is run per class
-//!   with at least one surviving bit, its verdict applied to every member
-//!   row. Refinement at iteration `i` only consults candidates surviving
-//!   iteration `i−1`, so the candidate sets shrink monotonically.
+//! * [`refine_candidates`] — one work-item per *dirty* query row (a row
+//!   whose signature moved reaching this radius, [`DeltaClasses`]); the
+//!   row enumerates its own live candidate bits word-parallel and clears
+//!   each bit whose data signature no longer dominates the row's, testing
+//!   only the fields that moved. Refinement at iteration `i` only consults
+//!   candidates surviving iteration `i−1`, so the candidate sets shrink
+//!   monotonically. A from-scratch refine at one radius is the same
+//!   kernel over `DeltaClasses::build(schema, &[EMPTY; n], sigs)`: every
+//!   row with a non-empty signature, each with its full field mask.
 //!
 //! Both kernels charge their modeled work to the device counters at word
 //! granularity: every distinct bitmap word actually loaded goes through
@@ -222,7 +225,7 @@ pub fn initialize_candidates_bucketed(
         work_group_size,
         || governor.stopped(),
         |items, counters| {
-            // Group-local charge accumulation (see the refine kernels):
+            // Group-local charge accumulation (see `refine_candidates`):
             // one counter flush per work-group.
             let mut visits = 0u64;
             let mut sets = 0u64;
@@ -279,214 +282,8 @@ pub fn initialize_candidates_bucketed(
     rejected.into_inner()
 }
 
-/// Query nodes grouped by identical signature. The domination verdict for
-/// a (query row, data node) pair depends only on the two signatures, so
-/// rows sharing a signature share their verdict against every data node:
-/// the refine kernel runs one test per *class* instead of one per row.
-/// Classes are rebuilt each iteration (signatures advance between
-/// iterations) in one O(|V_Q|) pass, and are ordered by their smallest
-/// member row so the grouping is deterministic.
-pub struct SignatureClasses {
-    classes: Vec<(Signature, Vec<u32>)>,
-}
-
-impl SignatureClasses {
-    /// Groups all query rows by their current signature.
-    pub fn build(queries: &CsrGo, query_sigs: &SignatureSet) -> Self {
-        let mut index: std::collections::HashMap<Signature, usize> =
-            std::collections::HashMap::new();
-        let mut classes: Vec<(Signature, Vec<u32>)> = Vec::new();
-        for q in 0..queries.num_nodes() {
-            let sig = query_sigs.signature(q as NodeId);
-            match index.entry(sig) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    classes[*e.get()].1.push(q as u32);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(classes.len());
-                    classes.push((sig, vec![q as u32]));
-                }
-            }
-        }
-        // First-seen order == ascending smallest member, since rows are
-        // visited in ascending order.
-        SignatureClasses { classes }
-    }
-
-    /// The classes as `(signature, ascending member rows)`.
-    pub fn classes(&self) -> &[(Signature, Vec<u32>)] {
-        &self.classes
-    }
-
-    /// Number of distinct signatures.
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// True when there are no query rows at all.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-}
-
-/// The RefineCandidates kernel: clears candidate bits whose data signature
-/// no longer dominates the query signature.
-///
-/// Per data node the kernel walks signature classes, probing member rows'
-/// bits until the first survivor; classes with no surviving bit are
-/// skipped without a test. A dominating verdict keeps every member bit
-/// (nothing to do — the remaining members are not even probed); a failing
-/// verdict clears every surviving member bit. Identical bits to the
-/// per-row form, at one domination test per live class.
-///
-/// Wildcard query nodes skip the domination test — their signature may
-/// demand labels the data node legitimately lacks only when the wildcard's
-/// neighbors are themselves concrete, which the test covers; the wildcard
-/// node's own label contributes nothing (see `SignatureSet`).
-///
-/// Returns the number of bits cleared this iteration.
-pub fn refine_candidates(
-    queue: &Queue,
-    queries: &CsrGo,
-    data: &CsrGo,
-    query_sigs: &SignatureSet,
-    data_sigs: &SignatureSet,
-    bitmap: &CandidateBitmap,
-    work_group_size: usize,
-) -> u64 {
-    refine_candidates_governed(
-        queue,
-        queries,
-        data,
-        query_sigs,
-        data_sigs,
-        bitmap,
-        work_group_size,
-        &Governor::unlimited(),
-    )
-}
-
-/// [`refine_candidates`] under a [`Governor`]. Refinement only *clears*
-/// bits, so stopping it early leaves a superset of the fully refined
-/// candidates — the join stays correct, just less pruned.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_candidates_governed(
-    queue: &Queue,
-    queries: &CsrGo,
-    data: &CsrGo,
-    query_sigs: &SignatureSet,
-    data_sigs: &SignatureSet,
-    bitmap: &CandidateBitmap,
-    work_group_size: usize,
-    governor: &Governor,
-) -> u64 {
-    let classes = SignatureClasses::build(queries, query_sigs);
-    refine_candidates_classes(
-        queue,
-        data,
-        query_sigs.schema(),
-        &classes,
-        data_sigs,
-        bitmap,
-        work_group_size,
-        governor,
-    )
-}
-
-/// [`refine_candidates_governed`] with caller-provided
-/// [`SignatureClasses`]: the form [`crate::plan::QueryPlan`] uses so the
-/// classes are built (and memoized across converged radii) once per plan
-/// instead of once per kernel launch.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_candidates_classes(
-    queue: &Queue,
-    data: &CsrGo,
-    schema: &LabelSchema,
-    classes: &SignatureClasses,
-    data_sigs: &SignatureSet,
-    bitmap: &CandidateBitmap,
-    work_group_size: usize,
-    governor: &Governor,
-) -> u64 {
-    let word_bytes = bitmap.word_width().bytes();
-    let snap = queue.parallel_for_chunks_until(
-        "refine_candidates",
-        "filter",
-        data.num_nodes(),
-        work_group_size,
-        || governor.stopped(),
-        |items, counters| {
-            // Modeled charges accumulate in group-locals and flush once per
-            // work-group: the shared counter atomics cost a handful of RMWs
-            // per group, not several per data node.
-            let mut cleared = 0u64;
-            let mut tests = 0u64;
-            let mut probes = 0u64;
-            let mut trip_sq = 0u64;
-            let mut items_run = 0u64;
-            let mut visit = |d: usize| {
-                let dsig = data_sigs.signature(d as NodeId);
-                let mut node_tests = 0u64;
-                // The paper prefetches the relevant bitmap words into local
-                // memory per work-group; on the host executor the row words
-                // are already cache-resident, so we charge the modeled
-                // traffic and read the shared bitmap directly.
-                for (qsig, members) in classes.classes() {
-                    // Probe members until the first surviving bit decides
-                    // whether this class needs a test at all.
-                    let mut first_live = None;
-                    for (i, &q) in members.iter().enumerate() {
-                        probes += 1;
-                        if bitmap.get(q as usize, d) {
-                            first_live = Some(i);
-                            break;
-                        }
-                    }
-                    let Some(first_live) = first_live else {
-                        continue;
-                    };
-                    node_tests += 1;
-                    if dsig.dominates(schema, qsig) {
-                        // Every member bit survives; the rest need no probe.
-                        continue;
-                    }
-                    bitmap.clear(members[first_live] as usize, d);
-                    cleared += 1;
-                    for &q in &members[first_live + 1..] {
-                        probes += 1;
-                        if bitmap.get(q as usize, d) {
-                            bitmap.clear(q as usize, d);
-                            cleared += 1;
-                        }
-                    }
-                }
-                tests += node_tests;
-                trip_sq += node_tests * node_tests;
-                items_run += 1;
-            };
-            for d in items {
-                if governor.stopped() {
-                    break; // consult once per data node, never per bit
-                }
-                visit(d);
-            }
-            counters.add_instructions(REFINE_INSTR_PER_TEST * tests + probes);
-            // Each probed row costs exactly one bitmap word (the word of
-            // this data node's column in that row): charge the words
-            // actually touched, word-granular. Signature pairs are
-            // per-test.
-            counters.add_word_reads(probes, word_bytes);
-            counters.add_bytes_read(tests * 16);
-            counters.add_atomics(cleared);
-            counters.add_bytes_written(cleared * word_bytes);
-            counters.record_trip_moments(tests, trip_sq, items_run);
-        },
-    );
-    snap.atomic_ops
-}
-
 /// The dirty query rows of one refinement radius, flattened for the
-/// transposed (row-major) delta kernel: rows whose signature *changed*
+/// row-major [`refine_candidates`] kernel: rows whose signature *changed*
 /// when the query [`SignatureSet`] advanced to this radius, each carrying
 /// its new signature and its signature class's moved-field mask.
 ///
@@ -562,21 +359,22 @@ impl DeltaClasses {
         self.rows.len()
     }
 
-    /// The dirty rows, ascending — the delta kernel's work-items.
+    /// The dirty rows, ascending — the refine kernel's work-items.
     pub fn rows(&self) -> &[DeltaRow] {
         &self.rows
     }
 }
 
-/// Dirty rows dispatched per work-group of the transposed delta kernel.
-/// A row work-item scans its whole candidate row — three orders of
-/// magnitude heavier than the node work-items of the full kernel — so the
-/// groups stay small to keep every core busy even at a few hundred dirty
-/// rows.
+/// Dirty rows dispatched per work-group of [`refine_candidates`]. A row
+/// work-item scans its whole candidate row — three orders of magnitude
+/// heavier than a data-node work-item of init — so the groups stay small
+/// to keep every core busy even at a few hundred dirty rows.
 const DELTA_ROWS_PER_GROUP: usize = 4;
 
-/// The RefineCandidates kernel restricted to one radius' dirty work,
-/// *transposed*: one work-item per dirty query row (not per data node),
+/// The RefineCandidates kernel: clears candidate bits whose data signature
+/// no longer dominates the query signature, restricted to one radius'
+/// dirty work and *transposed* — one work-item per dirty query row (not
+/// per data node),
 /// which enumerates its own live candidate bits word-parallel
 /// ([`CandidateBitmap::iter_set_in_range`]) and applies the
 /// field-restricted domination verdict at each live bit. Work is
@@ -587,15 +385,17 @@ const DELTA_ROWS_PER_GROUP: usize = 4;
 /// Skipped work is never charged or ticked, so the word-read accounting in
 /// `KernelSummary` reflects the real savings.
 ///
-/// Bit-identical to running the full class set through
-/// [`refine_candidates_classes`] at the same radius: the verdict for a
-/// live bit `(q, d)` depends only on the two signatures, and the
-/// field-restricted test is exact per live bit (see [`DeltaRow`]; the
-/// differential and property tests pin it). Rows are disjoint across
-/// work-items, so clears never race.
+/// Bit-identical to a full domination test of every live bit at the same
+/// radius: the verdict for a live bit `(q, d)` depends only on the two
+/// signatures, and the field-restricted test is exact per live bit (see
+/// [`DeltaRow`]; the differential and property tests pin it against
+/// [`crate::naive::refine_candidates`]). Rows are disjoint across
+/// work-items, so clears never race. Refinement only *clears* bits, so a
+/// stopped [`Governor`] leaves a superset of the fully refined candidates
+/// — the join stays correct, just less pruned.
 ///
 /// Returns the number of bits cleared.
-pub fn refine_candidates_delta(
+pub fn refine_candidates(
     queue: &Queue,
     data: &CsrGo,
     schema: &LabelSchema,
@@ -615,8 +415,9 @@ pub fn refine_candidates_delta(
         DELTA_ROWS_PER_GROUP,
         || governor.stopped(),
         |items, counters| {
-            // Group-local charge accumulation, flushed once per work-group
-            // (same convention as `refine_candidates_classes`).
+            // Modeled charges accumulate in group-locals and flush once per
+            // work-group: the shared counter atomics cost a handful of RMWs
+            // per group, not several per row.
             let mut cleared = 0u64;
             let mut tests = 0u64;
             let mut test_instr = 0u64;
@@ -748,6 +549,28 @@ mod tests {
         (CsrGo::from_graphs(&[q]), CsrGo::from_graphs(&[d0, d1]))
     }
 
+    /// A from-scratch refine of every row at the signatures' radius: the
+    /// one kernel over the all-rows delta against the empty signatures.
+    fn refine_all(
+        queue: &Queue,
+        data: &CsrGo,
+        qs: &SignatureSet,
+        ds: &SignatureSet,
+        bm: &CandidateBitmap,
+    ) -> u64 {
+        let cur = qs.signatures();
+        let delta = DeltaClasses::build(qs.schema(), &vec![Signature::EMPTY; cur.len()], cur);
+        refine_candidates(
+            queue,
+            data,
+            qs.schema(),
+            &delta,
+            ds,
+            bm,
+            &Governor::unlimited(),
+        )
+    }
+
     #[test]
     fn init_sets_label_matches_only() {
         let (queries, data) = tiny();
@@ -775,7 +598,7 @@ mod tests {
         let mut ds = SignatureSet::new(&data, schema.clone());
         qs.advance(&queries);
         ds.advance(&data);
-        let cleared = refine_candidates(&q, &queries, &data, &qs, &ds, &bm, 64);
+        let cleared = refine_all(&q, &data, &qs, &ds, &bm);
         // Data node 3 (the C of C-H) has no O neighbor: pruned.
         assert!(bm.get(0, 0));
         assert!(!bm.get(0, 3));
@@ -795,7 +618,7 @@ mod tests {
         for _ in 0..4 {
             qs.advance(&queries);
             ds.advance(&data);
-            refine_candidates(&q, &queries, &data, &qs, &ds, &bm, 64);
+            refine_all(&q, &data, &qs, &ds, &bm);
             let cur = bm.total_count();
             assert!(cur <= prev, "candidates grew: {prev} -> {cur}");
             prev = cur;
@@ -815,7 +638,7 @@ mod tests {
             for _ in 1..iters {
                 qs.advance(&queries);
                 ds.advance(&data);
-                refine_candidates(&q, &queries, &data, &qs, &ds, &bm, 64);
+                refine_all(&q, &data, &qs, &ds, &bm);
             }
             let reference =
                 CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
@@ -849,7 +672,7 @@ mod tests {
         for _ in 0..5 {
             qs.advance(&queries);
             ds.advance(&data);
-            refine_candidates(&qq, &queries, &data, &qs, &ds, &bm, 64);
+            refine_all(&qq, &data, &qs, &ds, &bm);
         }
         // The true embedding maps q0 -> d0, q1 -> d1; both bits must survive.
         assert!(bm.get(0, 0), "true candidate for C pruned");
@@ -888,23 +711,30 @@ mod tests {
     }
 
     #[test]
-    fn signature_classes_group_identical_signatures() {
+    fn delta_rows_share_their_class_field_mask() {
         // Two disconnected C-O pairs: rows 0/2 and 1/3 are signature-equal
-        // once signatures have advanced.
+        // once signatures have advanced, so each pair shares one mask.
         let q = LabeledGraph::from_edges(&[1, 3, 1, 3], &[(0, 1), (2, 3)]).unwrap();
         let queries = CsrGo::from_graphs(&[q]);
         let schema = LabelSchema::organic();
-        let mut qs = SignatureSet::new(&queries, schema);
+        let mut qs = SignatureSet::new(&queries, schema.clone());
+        let prev = qs.signatures().to_vec();
         qs.advance(&queries);
-        let classes = SignatureClasses::build(&queries, &qs);
-        assert_eq!(classes.len(), 2);
-        assert!(!classes.is_empty());
-        let members: Vec<&Vec<u32>> = classes.classes().iter().map(|(_, m)| m).collect();
-        assert_eq!(members, vec![&vec![0, 2], &vec![1, 3]]);
+        let delta = DeltaClasses::build(&schema, &prev, qs.signatures());
+        assert!(!delta.is_empty());
+        assert_eq!(delta.dirty_rows(), 4);
+        let rows: Vec<u32> = delta.rows().iter().map(|r| r.row).collect();
+        assert_eq!(rows, vec![0, 1, 2, 3]);
+        let masks: Vec<u64> = delta.rows().iter().map(|r| r.changed).collect();
+        assert_eq!(masks[0], masks[2]);
+        assert_eq!(masks[1], masks[3]);
+        assert_ne!(masks[0], 0);
+        // Nothing moves against the same radius: an empty delta.
+        assert!(DeltaClasses::build(&schema, qs.signatures(), qs.signatures()).is_empty());
     }
 
     #[test]
-    fn class_refine_matches_naive() {
+    fn refine_matches_naive() {
         let (queries, data) = tiny();
         let q = queue();
         let schema = LabelSchema::organic();
@@ -917,7 +747,7 @@ mod tests {
         for _ in 0..3 {
             qs.advance(&queries);
             ds.advance(&data);
-            let fast_cleared = refine_candidates(&q, &queries, &data, &qs, &ds, &fast, 64);
+            let fast_cleared = refine_all(&q, &data, &qs, &ds, &fast);
             let slow_cleared =
                 crate::naive::refine_candidates(&queries, &qs, &ds, &slow, data.num_nodes());
             assert_eq!(fast_cleared, slow_cleared);

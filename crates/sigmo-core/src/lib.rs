@@ -9,8 +9,10 @@
 //! 2. **Iterative signature refinement** — node signatures count, per
 //!    label, the nodes within a growing radius; stored as frequency-skewed
 //!    masked bitsets in a single `u64` ([`Signature`], [`LabelSchema`]);
-//!    a data node survives iff its signature *dominates* the query node's
-//!    ([`filter::refine_candidates`]);
+//!    a data node survives iff its signature *dominates* the query node's.
+//!    One kernel ([`filter::refine_candidates`]) re-tests only the query
+//!    rows whose signature moved at each radius, and the engine stops once
+//!    no query signature moves any more;
 //! 3. **Mapping** — the Graph Mapping Compressed Representation
 //!    ([`Gmcr`]) lists, per data graph, the query graphs whose every node
 //!    still has candidates there;
@@ -50,9 +52,9 @@ pub mod stream;
 
 pub use candidates::{CandidateBitmap, WordWidth};
 pub use engine::{
-    Engine, EngineConfig, FilterMode, JoinOrder, JoinStrategy, MatchMode, PhaseTimings, RunReport,
+    Engine, EngineConfig, JoinOrder, JoinStrategy, MatchMode, PhaseTimings, RunReport,
 };
-pub use filter::{DeltaClasses, LabelBuckets, SignatureClasses};
+pub use filter::{DeltaClasses, LabelBuckets};
 pub use governor::{CancelToken, Completion, Governor, RunBudget, TruncationReason};
 pub use join::cost::{JoinVariant, OrderChoice};
 pub use join::{JoinOutcome, MatchRecord};

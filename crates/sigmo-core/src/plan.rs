@@ -2,20 +2,18 @@
 //! precompute from the query batch alone, built once and shared.
 //!
 //! The streaming runner used to rebuild the query CSR-GO, the
-//! [`LabelBuckets`], the per-radius query signatures, and the
-//! [`SignatureClasses`] for *every* chunk — and the cluster simulator
-//! replays the same query batch on every rank. All of that state is a
-//! pure function of the query batch and the engine configuration, so
-//! [`QueryPlan`] computes it exactly once:
+//! [`LabelBuckets`] and the per-radius query signatures for *every*
+//! chunk — and the cluster simulator replays the same query batch on
+//! every rank. All of that state is a pure function of the query batch
+//! and the engine configuration, so [`QueryPlan`] computes it exactly
+//! once:
 //!
 //! * query signatures advanced through every radius the configured
-//!   iteration count can reach;
-//! * [`SignatureClasses`] per radius, memoized — a radius where no query
-//!   signature moved shares the previous radius' classes by `Arc` instead
-//!   of rebuilding them;
-//! * [`DeltaClasses`] per radius — the dirty rows the incremental refine
-//!   kernel re-tests (empty once the query side converges, which is what
-//!   lets the engine stop refining early);
+//!   iteration count can reach, under the plan's signature schema (the
+//!   schema every run against the plan refines with);
+//! * [`DeltaClasses`] per radius — the dirty rows the refine kernel
+//!   re-tests (empty once the query side converges, which is what lets
+//!   the engine stop refining early);
 //! * the per-row init table for candidate initialization
 //!   ([`LabelBuckets`]: label buckets, label-pair signatures, predicates)
 //!   and the max-degree join plans.
@@ -25,13 +23,12 @@
 //! run and every rank borrows it.
 
 use crate::engine::EngineConfig;
-use crate::filter::{DeltaClasses, LabelBuckets, SignatureClasses};
+use crate::filter::{DeltaClasses, LabelBuckets};
 use crate::join;
 use crate::schema::LabelSchema;
 use crate::signature::{Signature, SignatureSet};
 use sigmo_graph::{CsrGo, LabeledGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Process-wide count of [`QueryPlan`] constructions. Test instrumentation
 /// only: the stream/cluster reuse pins assert a multi-chunk run builds
@@ -48,11 +45,8 @@ pub fn plan_build_count() -> u64 {
 struct RadiusState {
     /// Every query node's signature at this radius.
     sigs: Vec<Signature>,
-    /// Signature-equivalence classes at this radius; shares the previous
-    /// radius' `Arc` when no signature moved.
-    classes: Arc<SignatureClasses>,
     /// Dirty rows (signature moved reaching this radius), grouped for the
-    /// delta kernel.
+    /// refine kernel.
     delta: DeltaClasses,
 }
 
@@ -68,11 +62,8 @@ pub struct QueryPlan {
     radii: Vec<RadiusState>,
     /// Largest radius with a non-empty delta (0 when no signature ever
     /// moves). Iterations beyond `last_dirty_radius + 1` cannot clear a
-    /// bit, so the incremental engine stops there.
+    /// bit, so the engine stops there.
     last_dirty_radius: usize,
-    /// How many times `SignatureClasses` were actually rebuilt (≤ number
-    /// of radii; the memoization pin tests read this).
-    classes_builds: usize,
     /// Max-degree join plans per query graph (the data-aware
     /// min-candidates ordering still has to be built per run).
     join_plans: Vec<join::QueryPlan>,
@@ -93,7 +84,6 @@ impl QueryPlan {
         let mut set = SignatureSet::new(&csr, config.schema.clone());
         let mut radii: Vec<RadiusState> = Vec::with_capacity(max_radius);
         let mut last_dirty_radius = 0usize;
-        let mut classes_builds = 0usize;
         let mut prev_sigs: Vec<Signature> = set.signatures().to_vec();
         for r in 1..=max_radius {
             set.advance(&csr);
@@ -102,21 +92,8 @@ impl QueryPlan {
             if !delta.is_empty() {
                 last_dirty_radius = r;
             }
-            // A radius where nothing moved keeps the previous classes —
-            // same signatures, same first-seen grouping.
-            let classes = match radii.last() {
-                Some(prev) if delta.is_empty() => Arc::clone(&prev.classes),
-                _ => {
-                    classes_builds += 1;
-                    Arc::new(SignatureClasses::build(&csr, &set))
-                }
-            };
             prev_sigs = sigs.clone();
-            radii.push(RadiusState {
-                sigs,
-                classes,
-                delta,
-            });
+            radii.push(RadiusState { sigs, delta });
         }
         let join_plans = (0..csr.num_graphs())
             .map(|qg| join::QueryPlan::build(&csr, qg, config.induced))
@@ -128,7 +105,6 @@ impl QueryPlan {
             buckets,
             radii,
             last_dirty_radius,
-            classes_builds,
             join_plans,
         }
     }
@@ -165,12 +141,6 @@ impl QueryPlan {
         self.last_dirty_radius
     }
 
-    /// How many distinct `SignatureClasses` were built (the rest were
-    /// memoized from the previous radius).
-    pub fn classes_builds(&self) -> usize {
-        self.classes_builds
-    }
-
     fn state(&self, radius: usize) -> &RadiusState {
         assert!(
             (1..=self.radii.len()).contains(&radius),
@@ -183,11 +153,6 @@ impl QueryPlan {
     /// Every query signature at `radius` (1-based).
     pub fn signatures_at(&self, radius: usize) -> &[Signature] {
         &self.state(radius).sigs
-    }
-
-    /// The signature classes at `radius` (1-based).
-    pub fn classes_at(&self, radius: usize) -> &SignatureClasses {
-        &self.state(radius).classes
     }
 
     /// The dirty-row delta at `radius` (1-based).
@@ -215,20 +180,17 @@ mod tests {
     }
 
     #[test]
-    fn plan_converges_and_memoizes_classes() {
+    fn plan_converges_after_the_query_diameter() {
         let cfg = EngineConfig::default(); // 6 iterations → radii 1..=5
         let plan = QueryPlan::build(&queries(), &cfg);
         assert_eq!(plan.max_radius(), 5);
         // C-O has diameter 1: signatures move only at radius 1.
         assert_eq!(plan.last_dirty_radius(), 1);
         assert!(!plan.delta_at(1).is_empty());
-        assert!(plan.delta_at(2).is_empty());
-        // Classes rebuilt once (radius 1); radii 2..=5 share that Arc.
-        assert_eq!(plan.classes_builds(), 1);
-        assert_eq!(
-            plan.classes_at(2).classes().len(),
-            plan.classes_at(5).classes().len()
-        );
+        for r in 2..=5 {
+            assert!(plan.delta_at(r).is_empty(), "radius {r}");
+            assert_eq!(plan.signatures_at(r), plan.signatures_at(1), "radius {r}");
+        }
     }
 
     #[test]
@@ -265,6 +227,6 @@ mod tests {
     #[should_panic(expected = "radii 1..=5")]
     fn out_of_range_radius_panics() {
         let plan = QueryPlan::build(&queries(), &EngineConfig::default());
-        plan.classes_at(6);
+        plan.delta_at(6);
     }
 }

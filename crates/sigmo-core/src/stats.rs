@@ -87,8 +87,7 @@ pub struct IterationStats {
     /// rejected.
     pub cleared_bits: u64,
     /// Query rows whose signature moved at this radius — the rows the
-    /// delta kernel re-tested. Exhaustive (non-incremental) iterations
-    /// count every query row; iteration 1 (init) reports the rows with a
+    /// refine kernel re-tested. Iteration 1 (init) reports the rows with a
     /// label-pair or predicate constraint, each counted once.
     pub dirty_nodes: u64,
 }

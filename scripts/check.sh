@@ -12,9 +12,11 @@
 #                                 float accumulation, wall clock in
 #                                 results, unordered parallel collection)
 #   5. cargo bench --no-run       compile check of every bench target
-#   6. ablate_filter_convergence  filter-mode ablation; asserts the
-#                                 incremental refine path stays ≥2× faster
-#                                 than exhaustive with identical totals
+#   6. ablate_filter_convergence  refine ablation; asserts the engine's
+#                                 incremental refine stays ≥2× faster than
+#                                 the fixed-schedule node-major refine kept
+#                                 as a bench-local control, with identical
+#                                 totals
 #   7. ext_serve_soak             serving soak: no-cache/cold/warm configs
 #                                 must agree bit for bit and the warm cache
 #                                 must be ≥2× the ablation (output diverted

@@ -210,17 +210,21 @@ fn deeper_filter_reduces_bfs_join_memory() {
         .collect();
 
     let peak_at = |iterations: usize| {
-        use sigmo::core::{filter::refine_candidates, LabelSchema, SignatureSet};
+        use sigmo::core::{
+            filter::refine_candidates, DeltaClasses, Governor, LabelSchema, Signature, SignatureSet,
+        };
         let q = queue();
         let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
         initialize_candidates(&q, &queries, &data, &bm, 1024);
         let schema = LabelSchema::organic();
         let mut qs = SignatureSet::new(&queries, schema.clone());
         let mut ds = SignatureSet::new(&data, schema.clone());
+        let empty = vec![Signature::EMPTY; queries.num_nodes()];
         for _ in 1..iterations {
             qs.advance(&queries);
             ds.advance(&data);
-            refine_candidates(&q, &queries, &data, &qs, &ds, &bm, 1024);
+            let delta = DeltaClasses::build(&schema, &empty, qs.signatures());
+            refine_candidates(&q, &data, &schema, &delta, &ds, &bm, &Governor::unlimited());
         }
         let gmcr = Gmcr::build(&q, &queries, &data, &bm, 1024);
         join_bfs(&q, &queries, &data, &bm, &gmcr, &plans, 128)

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use sigmo::baselines::Matcher;
 use sigmo::baselines::{brute_force_count, UllmannMatcher, Vf3Matcher};
 use sigmo::core::{
-    filter, naive, CandidateBitmap, Engine, EngineConfig, FilterMode, Governor, JoinStrategy,
-    LabelSchema, MatchMode, QueryPlan, RunBudget, SignatureSet, WordWidth,
+    filter, naive, CandidateBitmap, Engine, EngineConfig, Governor, JoinStrategy, LabelSchema,
+    MatchMode, QueryPlan, RunBudget, SignatureSet, WordWidth,
 };
 use sigmo::device::{DeviceProfile, Queue};
 use sigmo::graph::{CsrGo, LabeledGraph, WILDCARD_LABEL};
@@ -177,7 +177,6 @@ proptest! {
         let cfg = EngineConfig {
             refinement_iterations: iters,
             schema: schema.clone(),
-            filter_mode: FilterMode::Incremental,
             ..Default::default()
         };
         let plan = QueryPlan::from_batch(queries.clone(), &cfg);
@@ -196,7 +195,7 @@ proptest! {
             if delta.is_empty() {
                 continue;
             }
-            filter::refine_candidates_delta(
+            filter::refine_candidates(
                 &queue, &data, &schema, delta, &data_sigs, &bitmap, &gov,
             );
         }
@@ -211,27 +210,46 @@ proptest! {
         }
     }
 
-    /// Both engine filter modes agree on totals and matched pairs for
-    /// random workloads — the engine-level face of the bit-identity above.
+    /// The engine-level face of the bit-identity above: on random
+    /// workloads the engine's per-iteration trace (candidates, cleared
+    /// bits) equals the per-bit oracle's fixed schedule on every iteration
+    /// it ran, the iterations it skipped clear nothing, and its totals and
+    /// matched pairs are brute force's.
     #[test]
-    fn filter_modes_agree_on_random_workloads(
+    fn engine_filter_trace_matches_reference_on_random_workloads(
         q in arb_graph(4),
         d in arb_graph(8),
         iters in 1usize..=8,
     ) {
-        let run = |mode: FilterMode| {
-            Engine::new(EngineConfig {
-                refinement_iterations: iters,
-                filter_mode: mode,
-                ..Default::default()
-            })
-            .run(std::slice::from_ref(&q), std::slice::from_ref(&d), &queue())
-        };
-        let ex = run(FilterMode::Exhaustive);
-        let inc = run(FilterMode::Incremental);
-        prop_assert_eq!(ex.total_matches, inc.total_matches);
-        prop_assert_eq!(&ex.matched_pair_list, &inc.matched_pair_list);
-        prop_assert!(inc.iterations.len() <= ex.iterations.len());
+        let report = Engine::new(EngineConfig::with_iterations(iters))
+            .run(std::slice::from_ref(&q), std::slice::from_ref(&d), &queue());
+        prop_assert!(report.iterations.len() <= iters);
+        let queries = CsrGo::from_graphs(std::slice::from_ref(&q));
+        let data = CsrGo::from_graphs(std::slice::from_ref(&d));
+        let schema = LabelSchema::organic();
+        let init = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+        let rejected = naive::initialize_candidates(&queries, &data, &init);
+        prop_assert_eq!(report.iterations[0].cleared_bits, rejected);
+        let last = report.iterations.last().unwrap().candidates.total;
+        let mut cleared_so_far = 0;
+        for it in 1..=iters {
+            let bm = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+            let cleared = naive::reference_filter(&queries, &data, &schema, it, &bm);
+            match report.iterations.get(it - 1) {
+                Some(stats) => {
+                    prop_assert_eq!(stats.candidates.total, bm.total_count(), "iteration {}", it);
+                    if it > 1 {
+                        prop_assert_eq!(stats.cleared_bits, cleared - cleared_so_far, "iteration {}", it);
+                    }
+                }
+                None => prop_assert_eq!(bm.total_count(), last, "skipped iteration {}", it),
+            }
+            cleared_so_far = cleared;
+        }
+        let expected = brute_force_count(&q, &d);
+        prop_assert_eq!(report.total_matches, expected);
+        let pairs = if expected > 0 { vec![(0, 0)] } else { vec![] };
+        prop_assert_eq!(report.matched_pair_list, pairs);
     }
 
     /// CSR-GO graph_of agrees with a linear scan for arbitrary batches.

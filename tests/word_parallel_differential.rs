@@ -1,14 +1,18 @@
 //! Differential regression for the word-parallel filter/join hot paths.
 //!
-//! The optimized kernels — label-bucketed init, signature-class deduped
-//! refinement, word-level candidate enumeration — must be *bit-identical*
+//! The optimized kernels — label-bucketed init, row-major refinement of
+//! the dirty query rows, word-level candidate enumeration — must be
+//! *bit-identical*
 //! to the per-bit reference implementations in `sigmo::core::naive` at
 //! every pipeline stage, and must produce identical match sets through
 //! the join, on seeded random batches.
 
 use sigmo::core::filter::{initialize_candidates, refine_candidates};
 use sigmo::core::join::{join, JoinParams, QueryPlan};
-use sigmo::core::{naive, CandidateBitmap, Gmcr, LabelSchema, MatchMode, SignatureSet, WordWidth};
+use sigmo::core::{
+    naive, CandidateBitmap, DeltaClasses, Gmcr, Governor, LabelSchema, MatchMode, Signature,
+    SignatureSet, WordWidth,
+};
 use sigmo::device::{DeviceProfile, Queue};
 use sigmo::graph::{random_sparse_graph, CsrGo, LabeledGraph};
 
@@ -36,9 +40,33 @@ fn assert_bitmaps_identical(fast: &CandidateBitmap, slow: &CandidateBitmap, stag
     }
 }
 
+/// Refines every row with a non-empty signature at the signatures' radius:
+/// the one kernel over the all-rows delta against the empty signatures.
+fn refine_all(
+    queue: &Queue,
+    data: &CsrGo,
+    qs: &SignatureSet,
+    ds: &SignatureSet,
+    bm: &CandidateBitmap,
+) -> u64 {
+    let cur = qs.signatures();
+    let delta = DeltaClasses::build(qs.schema(), &vec![Signature::EMPTY; cur.len()], cur);
+    refine_candidates(
+        queue,
+        data,
+        qs.schema(),
+        &delta,
+        ds,
+        bm,
+        &Governor::unlimited(),
+    )
+}
+
 /// Runs the optimized kernels and the naive reference side by side and
 /// checks the bitmaps stay bit-identical through init and every
-/// refinement iteration.
+/// refinement iteration. The fast side refines only the rows whose
+/// signature moved since the previous radius, as the engine does; the
+/// naive side re-tests every live bit.
 #[test]
 fn filter_pipeline_is_bit_identical_to_naive() {
     for seed in [3u64, 17, 99] {
@@ -57,9 +85,12 @@ fn filter_pipeline_is_bit_identical_to_naive() {
         let mut ds = SignatureSet::new(&data, schema.clone());
         let mut prev_total = fast.total_count();
         for iter in 0..4 {
+            let prev_sigs = qs.signatures().to_vec();
             qs.advance(&queries);
             ds.advance(&data);
-            let fast_cleared = refine_candidates(&queue, &queries, &data, &qs, &ds, &fast, 64);
+            let delta = DeltaClasses::build(&schema, &prev_sigs, qs.signatures());
+            let gov = Governor::unlimited();
+            let fast_cleared = refine_candidates(&queue, &data, &schema, &delta, &ds, &fast, &gov);
             let slow_cleared =
                 naive::refine_candidates(&queries, &qs, &ds, &slow, data.num_nodes());
             assert_eq!(
@@ -93,7 +124,7 @@ fn enumeration_is_identical_to_naive() {
     let mut ds = SignatureSet::new(&data, schema);
     qs.advance(&queries);
     ds.advance(&data);
-    refine_candidates(&queue, &queries, &data, &qs, &ds, &bm, 64);
+    refine_all(&queue, &data, &qs, &ds, &bm);
 
     let nd = data.num_nodes();
     for r in 0..bm.rows() {
@@ -178,7 +209,7 @@ fn match_sets_are_identical_to_naive() {
         for _ in 0..3 {
             qs.advance(&queries);
             ds.advance(&data);
-            refine_candidates(&queue, &queries, &data, &qs, &ds, &fast, 64);
+            refine_all(&queue, &data, &qs, &ds, &fast);
             naive::refine_candidates(&queries, &qs, &ds, &slow, data.num_nodes());
         }
 
