@@ -119,6 +119,57 @@ impl CandidateBitmap {
         self.words[w].fetch_and(!bit, Ordering::Relaxed);
     }
 
+    /// Bits of word `w` (within a row) that fall on real columns: all 64
+    /// except in the last, partial word of a row.
+    #[inline]
+    fn column_mask(&self, w: usize) -> u64 {
+        let top = self.cols - w * 64;
+        if top >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << top) - 1
+        }
+    }
+
+    /// Loads word `w` of `row` (columns `64w .. 64w + 63`, bit `i` =
+    /// column `64w + i`).
+    // sigmo-lint: allow(relaxed-read-in-report) — kernels load words that
+    // refinement clears monotonically; report paths read after the
+    // writing launch joined (see `get`).
+    #[inline]
+    pub fn load_word(&self, row: usize, w: usize) -> u64 {
+        debug_assert!(row < self.rows && w < self.words_per_row);
+        self.words[row * self.words_per_row + w].load(Ordering::Relaxed)
+    }
+
+    /// Atomically sets every bit of `bits` in word `w` of `row` with one
+    /// RMW — the word-at-a-time [`set`](Self::set), so work-items sharing a
+    /// word merge instead of overwriting each other. Bits past the last
+    /// column are dropped, so row padding stays zero. ORing 0 is a no-op.
+    // sigmo-lint: allow(uncharged-access) — primitive word write; call
+    // sites charge the traffic (see `set`).
+    #[inline]
+    pub(crate) fn or_word(&self, row: usize, w: usize, bits: u64) {
+        debug_assert!(row < self.rows && w < self.words_per_row);
+        let bits = bits & self.column_mask(w);
+        if bits != 0 {
+            self.words[row * self.words_per_row + w].fetch_or(bits, Ordering::Relaxed);
+        }
+    }
+
+    /// Atomically clears every bit of `bits` in word `w` of `row` with one
+    /// RMW — the word-at-a-time [`clear`](Self::clear). Clearing 0 is a
+    /// no-op.
+    // sigmo-lint: allow(uncharged-access) — primitive word write; call
+    // sites charge the traffic (see `set`).
+    #[inline]
+    pub(crate) fn clear_word(&self, row: usize, w: usize, bits: u64) {
+        debug_assert!(row < self.rows && w < self.words_per_row);
+        if bits != 0 {
+            self.words[row * self.words_per_row + w].fetch_and(!bits, Ordering::Relaxed);
+        }
+    }
+
     /// Overwrites this bitmap with the contents of `other`, word by word.
     /// Both bitmaps must have identical dimensions. Used to restore a
     /// snapshot (e.g. re-running refinement from the same initial state).
@@ -337,6 +388,41 @@ mod tests {
         b.clear(1, 63);
         assert!(!b.get(1, 63));
         assert!(b.get(1, 64));
+    }
+
+    #[test]
+    fn word_primitives_cover_the_last_partial_word() {
+        // 100 columns: word 1 holds columns 64..100, 36 real bits.
+        let b = CandidateBitmap::new(2, 100, WordWidth::U64);
+        b.or_word(1, 1, u64::MAX);
+        assert_eq!(b.row_count(1), 36, "padding bits past column 99 stay zero");
+        assert_eq!(b.total_count(), 36);
+        assert!(b.get(1, 64) && b.get(1, 99) && !b.get(1, 63));
+        assert_eq!(b.load_word(1, 1), (1u64 << 36) - 1);
+        b.clear_word(1, 1, 1 | 1 << 35);
+        assert!(!b.get(1, 64) && !b.get(1, 99) && b.get(1, 65));
+        assert_eq!(b.row_count(1), 34);
+        // Full first word, and the word primitives agree with `set`.
+        b.or_word(0, 0, 1 << 63 | 1);
+        let c = CandidateBitmap::new(2, 100, WordWidth::U64);
+        c.set(0, 0);
+        c.set(0, 63);
+        assert_eq!(b.load_word(0, 0), c.load_word(0, 0));
+        assert_eq!(b.row_count(0), 2);
+    }
+
+    #[test]
+    fn word_or_and_clear_of_zero_are_no_ops() {
+        let b = CandidateBitmap::new(1, 70, WordWidth::U64);
+        b.set(0, 3);
+        b.set(0, 69);
+        for w in 0..b.words_per_row() {
+            let before = b.load_word(0, w);
+            b.or_word(0, w, 0);
+            b.clear_word(0, w, 0);
+            assert_eq!(b.load_word(0, w), before, "word {w}");
+        }
+        assert_eq!(b.row_count(0), 2);
     }
 
     #[test]

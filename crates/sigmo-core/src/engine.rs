@@ -292,7 +292,7 @@ impl Engine {
 
     /// [`Engine::run_planned`] under a [`Governor`]. The governor's
     /// heartbeat is consulted at every phase boundary, inside the filter
-    /// kernels once per data node or dirty row, and inside the join once
+    /// kernels once per 64-node block or dirty row, and inside the join once
     /// per DFS step; a tripped governor yields a well-formed report whose
     /// `completion` records the truncation reason and whose totals are
     /// sound partial results.

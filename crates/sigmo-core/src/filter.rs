@@ -1,38 +1,47 @@
 //! The filtering kernels of Algorithm 1.
 //!
-//! * [`initialize_candidates`] — one work-item per data node; applies the
+//! * [`initialize_candidates`] — work-items are data nodes; applies the
 //!   whole iteration-1 admission rule (label match, label-pair
 //!   domination, node predicate) to every query row of a matching label.
 //!   Query rows are pre-bucketed by label ([`LabelBuckets`], built once
 //!   per batch, which also carries each row's pair signature and
-//!   predicate), so each data node only walks the rows it can admit —
-//!   O(matching rows) instead of O(|V_Q|);
+//!   predicate), so a data node only meets the rows it can admit —
+//!   O(matching rows) instead of O(|V_Q|). A work-group walks its data
+//!   nodes in blocks aligned to bitmap words and writes each (row, block)
+//!   word with one atomic OR;
 //! * [`refine_candidates`] — one work-item per *dirty* query row (a row
 //!   whose signature moved reaching this radius, [`DeltaClasses`]); the
-//!   row enumerates its own live candidate bits word-parallel and clears
-//!   each bit whose data signature no longer dominates the row's, testing
-//!   only the fields that moved. Refinement at iteration `i` only consults
-//!   candidates surviving iteration `i−1`, so the candidate sets shrink
-//!   monotonically. A from-scratch refine at one radius is the same
-//!   kernel over `DeltaClasses::build(schema, &[EMPTY; n], sigs)`: every
-//!   row with a non-empty signature, each with its full field mask.
+//!   row scans its candidate words, tests each live bit's data signature
+//!   against the row's on only the fields that moved, and clears a word's
+//!   failing bits with one atomic AND. Refinement at iteration `i` only
+//!   consults candidates surviving iteration `i−1`, so the candidate sets
+//!   shrink monotonically. A from-scratch refine at one radius is the
+//!   same kernel over `DeltaClasses::build(schema, &[EMPTY; n], sigs)`:
+//!   every row with a non-empty signature, each with its full field mask.
 //!
-//! Both kernels charge their modeled work to the device counters at word
-//! granularity: every distinct bitmap word actually loaded goes through
-//! `add_word_reads` (at the configured [`crate::WordWidth`]), one
-//! signature load per domination test, and a handful of modeled
-//! instructions per comparison — the accounting behind Figures 8 and 9.
+//! Both kernels charge their modeled work to the device counters as the
+//! paper's per-bit GPU kernels would incur it, even though the host
+//! writes a word at a time: every distinct bitmap word actually loaded
+//! goes through `add_word_reads` (at the configured [`crate::WordWidth`]),
+//! one signature load per domination test, a handful of modeled
+//! instructions per comparison, and one atomic per set or cleared bit —
+//! the accounting behind Figures 8 and 9. Both consult the [`Governor`]
+//! at dispatch and then once per 64-node block (init) or per row
+//! (refine), never per bit.
 //!
 //! The pre-optimization per-bit forms live in [`crate::naive`]; the
-//! differential test `word_parallel_differential` pins both kernels to
-//! produce bit-identical bitmaps.
+//! differential tests `word_parallel_differential` and
+//! `filter_word_differential` pin both kernels to produce bit-identical
+//! bitmaps.
 
 use crate::candidates::CandidateBitmap;
 use crate::governor::Governor;
 use crate::schema::LabelSchema;
 use crate::signature::{Signature, SignatureSet};
 use sigmo_device::Queue;
-use sigmo_graph::{CsrGo, EdgeLabel, Label, NodeId, NodePredicate, WILDCARD_EDGE, WILDCARD_LABEL};
+use sigmo_graph::{
+    CsrGo, EdgeLabel, Label, NodeAttrs, NodeId, NodePredicate, WILDCARD_EDGE, WILDCARD_LABEL,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Modeled instruction cost of one label comparison in the init kernel.
@@ -44,11 +53,11 @@ const REFINE_INSTR_PER_TEST: u64 = 24;
 /// inputs, built once per batch (or once per *plan* —
 /// [`crate::plan::QueryPlan`] caches it across stream chunks).
 ///
-/// Rows are bucketed by label: `rows_for(dl)` yields exactly the rows a
-/// data node labeled `dl` can match — the concrete bucket for `dl`
-/// chained with the wildcard rows. Wildcard query rows live only in the
-/// wildcard list, so every row is yielded at most once for any data label
-/// (including the degenerate case of a wildcard-labeled data node).
+/// Rows are bucketed by label: a data node labeled `dl` can match exactly
+/// the concrete bucket for `dl` plus the wildcard rows. Wildcard query
+/// rows live only in the wildcard list, so every row meets a data node at
+/// most once for any data label (including the degenerate case of a
+/// wildcard-labeled data node).
 /// Bucket storage is sparse: only labels that actually occur in the batch
 /// get a bucket (molecular batches touch ~a dozen of the 256 possible
 /// labels), and lookup is a linear scan of that short list.
@@ -116,21 +125,14 @@ impl LabelBuckets {
         self.by_label.len()
     }
 
+    /// The concrete query rows labeled `label`, ascending (empty for the
+    /// wildcard label: wildcard rows live only in the wildcard list).
     fn bucket(&self, label: Label) -> &[u32] {
         self.by_label
             .iter()
             .find(|(l, _)| *l == label)
             .map(|(_, rows)| rows.as_slice())
             .unwrap_or(&[])
-    }
-
-    /// The query rows matching data label `label`, ascending within each
-    /// of the two segments (concrete bucket, then wildcards).
-    pub fn rows_for(&self, label: Label) -> impl Iterator<Item = u32> + '_ {
-        self.bucket(label)
-            .iter()
-            .chain(self.wildcard.iter())
-            .copied()
     }
 
     /// The label-pair signature schema ([`pair_schema`]).
@@ -194,18 +196,25 @@ pub fn initialize_candidates(
 /// [`initialize_candidates`] with a caller-provided [`LabelBuckets`] table
 /// (the form [`crate::plan::QueryPlan`] uses, so the table is built once
 /// per plan instead of once per chunk), under a [`Governor`]: a stopped
-/// governor skips not-yet-started work-groups at dispatch and unprocessed
-/// data nodes inside running groups. A truncated init leaves some
-/// candidate bits unset — strictly fewer candidates, so downstream
-/// results remain sound (every reported embedding is real) but
-/// incomplete.
+/// governor skips not-yet-started work-groups at dispatch and, inside a
+/// running group, every 64-node block not yet started — it is consulted
+/// once per block. A truncated init leaves some candidate bits unset —
+/// strictly fewer candidates, so downstream results remain sound (every
+/// reported embedding is real) but incomplete.
 ///
-/// Each data node walks only its label bucket (plus wildcards), so work
-/// scales with the label matches, not with the full query population. A
-/// data node's pair signature is built on its first constrained row, at
-/// most once; the data attributes a predicate reads are built only for
-/// batches that carry a predicate (their ring perception grows with the
-/// square of the batch's node count).
+/// A work-group walks its data nodes in blocks aligned to bitmap words.
+/// Per block it builds one mask per data label present; each row of that
+/// label's bucket admits a subset of the mask, and each wildcard row a
+/// subset of the whole block, which lands in the row's word with one
+/// `fetch_or` — an RMW, because groups whose range is not a multiple of
+/// 64 share their edge words with the neighboring group. A data node's
+/// pair signature is built on its first constrained row, at most once,
+/// into a 64-entry stack array; the data attributes a predicate reads are
+/// built only for batches that carry a predicate (their ring perception
+/// grows with the square of the batch's node count).
+///
+/// The modeled charges stay those of the per-bit kernel (one atomic per
+/// admitted bit), so counters do not depend on the host write width.
 pub fn initialize_candidates_bucketed(
     queue: &Queue,
     buckets: &LabelBuckets,
@@ -230,42 +239,59 @@ pub fn initialize_candidates_bucketed(
             let mut visits = 0u64;
             let mut sets = 0u64;
             let mut labels = 0u64;
-            let mut tests = 0u64;
-            let mut cleared = 0u64;
-            let mut visit = |d: usize| {
-                let dl = data.label(d as NodeId);
-                labels += 1;
-                let mut dpair: Option<Signature> = None;
-                for q in buckets.rows_for(dl) {
-                    visits += 1;
-                    let q = q as usize;
-                    let qpair = buckets.pair(q);
-                    if qpair != Signature::EMPTY {
-                        tests += 1;
-                        let dsig = *dpair
-                            .get_or_insert_with(|| pair_signature(data, pair_schema, d as NodeId));
-                        if !dsig.dominates(pair_schema, &qpair) {
-                            cleared += 1;
-                            continue;
-                        }
-                    }
-                    if let (Some(pred), Some(attrs)) = (buckets.predicate(q), &attrs) {
-                        tests += 1;
-                        if !pred.matches(attrs, d as NodeId) {
-                            cleared += 1;
-                            continue;
-                        }
-                    }
-                    bitmap.set(q, d);
-                    sets += 1;
-                }
+            let mut by_label = [(0 as Label, 0u64); 64];
+            let mut block = InitBlock {
+                data,
+                pair_schema,
+                attrs: attrs.as_ref(),
+                base: 0,
+                pairs: [Signature::EMPTY; 64],
+                built: 0,
+                tests: 0,
+                cleared: 0,
             };
-            for d in items {
+            let words = items.start / 64..items.end.div_ceil(64);
+            for w in words {
                 if governor.stopped() {
-                    break; // one relaxed load per data node, word-granular
+                    break; // one relaxed load per 64-node block
                 }
-                visit(d);
+                let lo = items.start.max(w * 64);
+                let hi = items.end.min(w * 64 + 64);
+                block.base = w * 64;
+                block.built = 0;
+                // One mask per data label present in the block; a block
+                // holds at most 64 distinct labels.
+                let mut distinct = 0usize;
+                for d in lo..hi {
+                    let l = data.label(d as NodeId);
+                    let bit = 1u64 << (d - block.base);
+                    match by_label[..distinct].iter_mut().find(|(x, _)| *x == l) {
+                        Some((_, mask)) => *mask |= bit,
+                        None => {
+                            by_label[distinct] = (l, bit);
+                            distinct += 1;
+                        }
+                    }
+                }
+                labels += (hi - lo) as u64;
+                for &(l, mask) in &by_label[..distinct] {
+                    let rows = buckets.bucket(l);
+                    visits += u64::from(mask.count_ones()) * rows.len() as u64;
+                    for &q in rows {
+                        let admitted = block.admit(buckets, q as usize, mask);
+                        bitmap.or_word(q as usize, w, admitted);
+                        sets += u64::from(admitted.count_ones());
+                    }
+                }
+                let whole = (u64::MAX >> (64 - (hi - lo))) << (lo - block.base);
+                visits += (hi - lo) as u64 * buckets.wildcard.len() as u64;
+                for &q in &buckets.wildcard {
+                    let admitted = block.admit(buckets, q as usize, whole);
+                    bitmap.or_word(q as usize, w, admitted);
+                    sets += u64::from(admitted.count_ones());
+                }
             }
+            let (tests, cleared) = (block.tests, block.cleared);
             // One bucket lookup per matching row, one set per admitted
             // bit; a rejected bit is never written. Each pair or predicate
             // test is one domination/evaluation plus an 8-byte data-side
@@ -280,6 +306,74 @@ pub fn initialize_candidates_bucketed(
         },
     );
     rejected.into_inner()
+}
+
+/// The data side of one word-aligned init block: up to 64 data nodes
+/// starting at column `base`, with their lazily built pair signatures.
+struct InitBlock<'a> {
+    data: &'a CsrGo,
+    pair_schema: &'a LabelSchema,
+    attrs: Option<&'a NodeAttrs>,
+    /// Column of the block's bit 0 (a multiple of 64).
+    base: usize,
+    /// `pairs[i]`: node `base + i`'s pair signature, valid where `built`
+    /// has bit `i`.
+    pairs: [Signature; 64],
+    built: u64,
+    /// Pair and predicate tests run, and the label matches they rejected.
+    tests: u64,
+    cleared: u64,
+}
+
+impl InitBlock<'_> {
+    /// The subset of `candidates` (label-matching block bits) that row `q`
+    /// admits: those whose pair signature dominates `q`'s and that satisfy
+    /// `q`'s predicate. Each bit is tested as the per-bit kernel tests
+    /// it: the pair test first, the predicate only on a pass.
+    fn admit(&mut self, buckets: &LabelBuckets, q: usize, candidates: u64) -> u64 {
+        let qpair = buckets.pair(q);
+        let pred = buckets.predicate(q).zip(self.attrs);
+        if qpair == Signature::EMPTY && pred.is_none() {
+            return candidates;
+        }
+        let mut admitted = 0u64;
+        for i in set_bits(candidates) {
+            let bit = 1u64 << i;
+            let d = (self.base + i) as NodeId;
+            if qpair != Signature::EMPTY {
+                self.tests += 1;
+                if self.built & bit == 0 {
+                    self.pairs[i] = pair_signature(self.data, self.pair_schema, d);
+                    self.built |= bit;
+                }
+                if !self.pairs[i].dominates(self.pair_schema, &qpair) {
+                    self.cleared += 1;
+                    continue;
+                }
+            }
+            if let Some((pred, attrs)) = pred {
+                self.tests += 1;
+                if !pred.matches(attrs, d) {
+                    self.cleared += 1;
+                    continue;
+                }
+            }
+            admitted |= bit;
+        }
+        admitted
+    }
+}
+
+/// The positions of the set bits of `word`, ascending.
+#[inline]
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let i = word.trailing_zeros() as usize;
+            word &= word - 1;
+            i
+        })
+    })
 }
 
 /// The dirty query rows of one refinement radius, flattened for the
@@ -303,11 +397,12 @@ pub struct DeltaRow {
     /// The row's signature at this radius.
     pub sig: Signature,
     /// Union, over the rows sharing `sig`, of the schema groups whose
-    /// count moved reaching this radius (bit `i` = schema group `i`). The
-    /// kernel's domination test checks only these fields — exact per live
-    /// bit, because a surviving bit's data signature already dominates
-    /// every unmoved field (the monotonicity argument above), and the
-    /// union can only add fields the full test would also check.
+    /// count moved reaching this radius, as their MSBs
+    /// ([`LabelSchema::msb`]). The kernel's domination test
+    /// ([`Signature::dominates_fields`]) checks only these fields — exact
+    /// per live bit, because a surviving bit's data signature already
+    /// dominates every unmoved field (the monotonicity argument above),
+    /// and the union can only add fields the full test would also check.
     pub changed: u64,
     /// The dirty query row index.
     pub row: u32,
@@ -374,16 +469,16 @@ const DELTA_ROWS_PER_GROUP: usize = 4;
 /// The RefineCandidates kernel: clears candidate bits whose data signature
 /// no longer dominates the query signature, restricted to one radius'
 /// dirty work and *transposed* — one work-item per dirty query row (not
-/// per data node),
-/// which enumerates its own live candidate bits word-parallel
-/// ([`CandidateBitmap::iter_set_in_range`]) and applies the
-/// field-restricted domination verdict at each live bit. Work is
+/// per data node), which scans its candidate row a word at a time, applies
+/// the field-restricted domination verdict at each live bit, and clears
+/// all of a word's failing bits with one `fetch_and`. Work is
 /// O(bitmap words + live bits) in the dirty rows — columns whose bits are
 /// long gone cost 1/64th of a word load, and data graphs with no live bit
 /// anywhere (the per-graph deadness the convergence machinery tracks) are
 /// skipped wholesale for free, because their columns are all-zero words.
 /// Skipped work is never charged or ticked, so the word-read accounting in
-/// `KernelSummary` reflects the real savings.
+/// `KernelSummary` reflects the real savings; a cleared bit is charged one
+/// atomic, as in the per-bit kernel.
 ///
 /// Bit-identical to a full domination test of every live bit at the same
 /// radius: the verdict for a live bit `(q, d)` depends only on the two
@@ -405,8 +500,7 @@ pub fn refine_candidates(
     governor: &Governor,
 ) -> u64 {
     let word_bytes = bitmap.word_width().bytes();
-    let n = data.num_nodes();
-    let row_words = n.div_ceil(64) as u64;
+    let row_words = data.num_nodes().div_ceil(64);
     let rows = delta.rows();
     let snap = queue.parallel_for_chunks_until(
         "refine_candidates",
@@ -421,7 +515,6 @@ pub fn refine_candidates(
             let mut cleared = 0u64;
             let mut tests = 0u64;
             let mut test_instr = 0u64;
-            let mut words = 0u64;
             let mut trip_sq = 0u64;
             let mut rows_run = 0u64;
             let mut visit = |r: usize| {
@@ -432,18 +525,19 @@ pub fn refine_candidates(
                 // [`DeltaRow::changed`]).
                 let mask_cost = 2 * u64::from(dirty.changed.count_ones()) + 2;
                 let mut row_tests = 0u64;
-                for d in bitmap.iter_set_in_range(q, 0, n) {
-                    row_tests += 1;
-                    if !data_sigs.signature(d as NodeId).dominates_groups(
-                        schema,
-                        &dirty.sig,
-                        dirty.changed,
-                    ) {
-                        bitmap.clear(q, d);
-                        cleared += 1;
+                for w in 0..row_words {
+                    let live = bitmap.load_word(q, w);
+                    let mut failing = 0u64;
+                    for i in set_bits(live) {
+                        let dsig = data_sigs.signature((w * 64 + i) as NodeId);
+                        if !dsig.dominates_fields(schema, &dirty.sig, dirty.changed) {
+                            failing |= 1 << i;
+                        }
                     }
+                    bitmap.clear_word(q, w, failing);
+                    row_tests += u64::from(live.count_ones());
+                    cleared += u64::from(failing.count_ones());
                 }
-                words += row_words;
                 tests += row_tests;
                 test_instr += mask_cost * row_tests;
                 trip_sq += row_tests * row_tests;
@@ -460,6 +554,7 @@ pub fn refine_candidates(
             // each live bit costs one data-signature load (8 bytes) and a
             // masked domination test; each scanned row loads its own
             // signature + mask once (16 bytes).
+            let words = rows_run * row_words as u64;
             counters.add_instructions(test_instr + words);
             counters.add_word_reads(words, word_bytes);
             counters.add_bytes_read(tests * 8 + rows_run * 16);
@@ -684,16 +779,14 @@ mod tests {
         let q = LabeledGraph::from_edges(&[1, 3, 1, WILDCARD_LABEL], &[(0, 1), (2, 3)]).unwrap();
         let queries = CsrGo::from_graphs(&[q]);
         let buckets = LabelBuckets::build(&queries);
-        // Label 1 rows plus the wildcard row, ascending per segment.
-        assert_eq!(buckets.rows_for(1).collect::<Vec<_>>(), vec![0, 2, 3]);
-        assert_eq!(buckets.rows_for(3).collect::<Vec<_>>(), vec![1, 3]);
-        // Unmatched label still yields the wildcard row.
-        assert_eq!(buckets.rows_for(7).collect::<Vec<_>>(), vec![3]);
+        // Concrete rows per label, ascending; the wildcard row lives only
+        // in the wildcard list.
+        assert_eq!(buckets.bucket(1), &[0, 2]);
+        assert_eq!(buckets.bucket(3), &[1]);
+        assert!(buckets.bucket(7).is_empty());
         // A wildcard data label matches only wildcard rows, once.
-        assert_eq!(
-            buckets.rows_for(WILDCARD_LABEL).collect::<Vec<_>>(),
-            vec![3]
-        );
+        assert!(buckets.bucket(WILDCARD_LABEL).is_empty());
+        assert_eq!(buckets.wildcard, vec![3]);
     }
 
     #[test]

@@ -13,13 +13,25 @@
 //!    word-parallel paths against these.
 //!
 //! They run on the host without the device queue — no counters, no
-//! parallelism — so they stay an independent oracle.
+//! parallelism — and compare signatures with their own per-group loop
+//! ([`dominates`]) rather than the SWAR [`Signature::dominates`], so they
+//! stay an independent oracle.
 
 use crate::candidates::CandidateBitmap;
 use crate::filter::{pair_schema, pair_signature};
 use crate::schema::LabelSchema;
 use crate::signature::{Signature, SignatureSet};
 use sigmo_graph::{CsrGo, NodeId, WILDCARD_LABEL};
+
+/// Per-group domination: `data` dominates `query` iff every group's
+/// stored query count is ≤ the stored data count — the loop form the SWAR
+/// [`Signature::dominates`] is pinned to.
+pub fn dominates(schema: &LabelSchema, data: &Signature, query: &Signature) -> bool {
+    schema
+        .groups()
+        .iter()
+        .all(|g| query.0 & g.mask() <= data.0 & g.mask())
+}
 
 /// Per-bit InitializeCandidates: for every (data node, query row) pair,
 /// evaluates the iteration-1 admission rule in loop form — the labels
@@ -41,7 +53,7 @@ pub fn initialize_candidates(queries: &CsrGo, data: &CsrGo, bitmap: &CandidateBi
             }
             let qpair = pair_signature(queries, &schema, q);
             let pair_ok = qpair == Signature::EMPTY
-                || pair_signature(data, &schema, d).dominates(&schema, &qpair);
+                || dominates(&schema, &pair_signature(data, &schema, d), &qpair);
             let pred_ok = match (queries.predicate(q), &attrs) {
                 (Some(pred), Some(attrs)) => pred.matches(attrs, d),
                 _ => true,
@@ -79,7 +91,7 @@ pub fn refine_candidates(
                 continue;
             }
             let qsig = query_sigs.signature(q as NodeId);
-            if !dsig.dominates(&schema, &qsig) {
+            if !dominates(&schema, &dsig, &qsig) {
                 bitmap.clear(q, d);
                 cleared += 1;
             }

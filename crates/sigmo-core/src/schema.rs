@@ -29,17 +29,37 @@ impl BitGroup {
     pub fn mask(&self) -> u64 {
         self.max_count() << self.shift
     }
+
+    /// The group's most significant bit, in place.
+    #[inline]
+    pub fn msb(&self) -> u64 {
+        1u64 << (self.shift + self.bits - 1)
+    }
 }
 
 /// Signature layout: one [`BitGroup`] per label, packed into 64 bits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Not `Deserialize`: a persisted layout comes back through
+/// [`LabelSchema::from_groups`], which validates the groups and derives
+/// the cached MSB mask from them.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LabelSchema {
     groups: Vec<BitGroup>,
+    /// The MSB of every group ([`BitGroup::msb`]), the `h` of the SWAR
+    /// domination test. Always derived from `groups` by [`Self::new`].
+    msb: u64,
 }
 
 impl LabelSchema {
     /// Total signature width available.
     pub const TOTAL_BITS: u32 = 64;
+
+    /// The one constructor every public one ends in: it caches the MSB
+    /// mask, so no schema's mask can disagree with its groups.
+    fn new(groups: Vec<BitGroup>) -> Self {
+        let msb = groups.iter().fold(0, |h, g| h | g.msb());
+        Self { groups, msb }
+    }
 
     /// Builds a schema from per-label frequency weights.
     ///
@@ -88,7 +108,7 @@ impl LabelSchema {
             groups.push(BitGroup { shift, bits: b });
             shift += b;
         }
-        Self { groups }
+        Self::new(groups)
     }
 
     /// A uniform schema: every label gets `⌊64 / num_labels⌋` bits. Used by
@@ -102,7 +122,7 @@ impl LabelSchema {
                 bits,
             })
             .collect();
-        Self { groups }
+        Self::new(groups)
     }
 
     /// Rebuilds a schema from explicit bit groups — the deserialization
@@ -124,7 +144,7 @@ impl LabelSchema {
             }
             used |= g.mask();
         }
-        Some(Self { groups })
+        Some(Self::new(groups))
     }
 
     /// The schema for the organic-element universe of `sigmo-mol`
@@ -152,6 +172,12 @@ impl LabelSchema {
     /// All groups in label order.
     pub fn groups(&self) -> &[BitGroup] {
         &self.groups
+    }
+
+    /// The MSB of every group: bit `shift + bits − 1` of each.
+    #[inline]
+    pub fn msb(&self) -> u64 {
+        self.msb
     }
 
     /// Total bits in use (≤ 64).
@@ -209,6 +235,30 @@ mod tests {
     #[should_panic(expected = "exceed 64 bits")]
     fn too_many_labels_panics() {
         LabelSchema::from_weights(&[1.0; 40], 2);
+    }
+
+    #[test]
+    fn every_constructor_caches_the_msb_of_every_group() {
+        let from_groups = LabelSchema::from_groups(vec![
+            BitGroup { shift: 0, bits: 1 },
+            BitGroup { shift: 3, bits: 4 },
+            BitGroup {
+                shift: 40,
+                bits: 16,
+            },
+        ])
+        .unwrap();
+        assert_eq!(from_groups.msb(), 1 | 1 << 6 | 1 << 55);
+        for s in [
+            LabelSchema::organic(),
+            LabelSchema::uniform(7),
+            LabelSchema::uniform(64),
+            from_groups,
+        ] {
+            let h = s.groups().iter().fold(0, |h, g| h | g.msb());
+            assert_eq!(s.msb(), h);
+            assert_eq!(s.msb().count_ones() as usize, s.num_labels());
+        }
     }
 
     #[test]

@@ -57,47 +57,39 @@ impl Signature {
     ///
     /// Saturation keeps this sound: both sides are clamped by the same
     /// per-group maximum, and `min(·, cap)` is monotone.
+    ///
+    /// All groups are compared at once, within one `u64` (SWAR): with
+    /// `h` the schema's MSB mask, `low = (d|h) − (q&!h)` leaves in each
+    /// group's MSB whether `d`'s low bits are ≥ `q`'s, and
+    /// `ge = (d&!q) | (!(d^q)&low)` folds in the MSBs themselves, so `d`
+    /// dominates iff `ge&h == h`. No borrow crosses a group boundary:
+    /// within a group `(d|h)` is at least `2^(w−1)` and `(q&!h)` at most
+    /// `2^(w−1) − 1`, so even a borrow coming in from below leaves the
+    /// group's difference non-negative (DESIGN.md §4b). Bits outside every
+    /// group must be zero in `query`, as [`Signature::add`] keeps them.
+    /// [`crate::naive::dominates`] is the per-group loop form it is
+    /// pinned to.
     #[inline]
     pub fn dominates(&self, schema: &LabelSchema, query: &Signature) -> bool {
-        // Per-group compare. A SWAR trick (borrow-free subtraction) would
-        // work for uniform groups; variable widths make the loop clearer
-        // and the group count is small (|L| ≤ 12).
-        for g in schema.groups() {
-            if (query.0 & g.mask()) > (self.0 & g.mask()) {
-                return false;
-            }
-        }
-        true
+        self.dominates_fields(schema, query, schema.msb())
     }
 
-    /// Field-restricted domination: compares only the schema groups whose
-    /// index bit is set in `group_mask`. NOT equivalent to [`dominates`]
-    /// in general — it is exact only when the caller can prove the skipped
-    /// fields already dominate, which is what the delta refine kernel's
+    /// Field-restricted domination: the [`dominates`] expression with its
+    /// final test narrowed to the groups whose MSB is set in `fields` (a
+    /// subset of [`LabelSchema::msb`]). NOT equivalent to [`dominates`] in
+    /// general — it is exact only when the caller can prove the skipped
+    /// fields already dominate, which is what the refine kernel's
     /// monotonicity invariant provides (a bit that survived the previous
     /// radius keeps dominating every field whose query count did not move;
-    /// see `DeltaClasses`). Cost is ~2 instructions per set bit instead of
-    /// one compare per schema group.
+    /// see `DeltaClasses`).
     ///
     /// [`dominates`]: Signature::dominates
     #[inline]
-    pub fn dominates_groups(
-        &self,
-        schema: &LabelSchema,
-        query: &Signature,
-        mut group_mask: u64,
-    ) -> bool {
-        let groups = schema.groups();
-        // sigmo-lint: allow(unbounded-kernel-loop) — clears one bit of
-        // `group_mask` per pass: at most 64 iterations, no consult needed.
-        while group_mask != 0 {
-            let m = groups[group_mask.trailing_zeros() as usize].mask();
-            if (query.0 & m) > (self.0 & m) {
-                return false;
-            }
-            group_mask &= group_mask - 1;
-        }
-        true
+    pub fn dominates_fields(&self, schema: &LabelSchema, query: &Signature, fields: u64) -> bool {
+        let (d, q, h) = (self.0, query.0, schema.msb());
+        let low = (d | h).wrapping_sub(q & !h);
+        let ge = (d & !q) | (!(d ^ q) & low);
+        ge & fields == fields
     }
 
     /// Per-group maximum of two signatures: for every schema group the
@@ -116,21 +108,19 @@ impl Signature {
         Signature(out)
     }
 
-    /// Bitmask (bit `i` = schema group `i`) of the groups whose stored
-    /// count differs between `self` and `other` — the "fields that moved"
-    /// input to [`Signature::dominates_groups`].
+    /// The MSBs ([`LabelSchema::msb`]) of the groups whose stored count
+    /// differs between `self` and `other` — the "fields that moved" input
+    /// to [`Signature::dominates_fields`].
     pub fn diff_groups(&self, schema: &LabelSchema, other: &Signature) -> u64 {
         let x = self.0 ^ other.0;
         if x == 0 {
             return 0;
         }
-        let mut mask = 0u64;
-        for (i, g) in schema.groups().iter().enumerate() {
-            if x & g.mask() != 0 {
-                mask |= 1 << i;
-            }
-        }
-        mask
+        schema
+            .groups()
+            .iter()
+            .filter(|g| x & g.mask() != 0)
+            .fold(0, |mask, g| mask | g.msb())
     }
 }
 

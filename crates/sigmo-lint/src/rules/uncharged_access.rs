@@ -39,6 +39,9 @@ const TRAFFIC_OPS: &[&str] = &[
     ".row_any_in_range(",
     ".row_any_in_range_counted(",
     ".row_count_in_range(",
+    ".load_word(",
+    ".or_word(",
+    ".clear_word(",
     "bitmap.get(",
     "bitmap.set(",
     "bitmap.clear(",
@@ -187,6 +190,14 @@ mod tests {
         );
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("host"));
+    }
+
+    #[test]
+    fn uncharged_word_writes_inside_closure_are_flagged() {
+        let d = run(
+            "fn host(q: &Queue) {\n    q.parallel_for(\"k\", \"filter\", n, 64, |w, c| {\n        let live = bitmap.load_word(0, w);\n        bitmap.or_word(1, w, live);\n        bitmap.clear_word(0, w, live);\n    });\n}\n",
+        );
+        assert_eq!(d.len(), 3, "{d:?}");
     }
 
     #[test]

@@ -45,11 +45,14 @@
 #                                 the committed BENCH_pipeline.json,
 #                                 BENCH_serve.json, BENCH_adaptive.json,
 #                                 BENCH_shard.json, and BENCH_index.json
-#  12. fuzz-smoke                 deep parser fuzz sweep: reruns the
-#                                 tests/parser_fuzz.rs battery at 10 000
-#                                 cases per property (raw bytes, grammar
-#                                 token soup, and round-trip layers for
-#                                 both the SMILES and SMARTS parsers)
+#  12. fuzz-smoke                 deep fuzz sweep at 10 000 cases per
+#                                 property: the tests/parser_fuzz.rs
+#                                 battery (raw bytes, grammar token soup,
+#                                 and round-trip layers for both the
+#                                 SMILES and SMARTS parsers) and
+#                                 tests/signature_swar.rs (SWAR signature
+#                                 domination against the per-group loop on
+#                                 arbitrary schema layouts)
 #
 # `--fast` skips the bench and fuzz stages (5-12) for quick pre-push runs. The lint
 # stage is NOT skipped: the determinism audit is cheap (sub-second scan,
@@ -108,7 +111,7 @@ if [ "$LINT_ONLY" -eq 0 ] && [ "$FAST" -eq 0 ]; then
         cargo run -q --release -p sigmo-bench --bin ext_index
     stage bench-diff scripts/bench_diff.sh
     stage fuzz-smoke env SIGMO_FUZZ_CASES=10000 \
-        cargo test -q --release --test parser_fuzz
+        cargo test -q --release --test parser_fuzz --test signature_swar
 fi
 if [ "$LINT_ONLY" -eq 0 ] && [ "$PATHOLOGICAL" -eq 1 ]; then
     stage pathological cargo run -q --release -p sigmo-bench --bin ext_pathological

@@ -5,13 +5,15 @@
 //! *sound but incomplete* — every reported embedding is a real embedding,
 //! and a budget-free governor is bit-identical to no governor at all.
 
+use sigmo::core::filter::initialize_candidates_bucketed;
 use sigmo::core::{
-    CancelToken, Completion, Engine, EngineConfig, Governor, RunBudget, StreamRunner,
-    TruncationReason,
+    naive, CancelToken, CandidateBitmap, Completion, Engine, EngineConfig, Governor, LabelBuckets,
+    RunBudget, StreamRunner, TruncationReason, WordWidth,
 };
 use sigmo::device::{DeviceProfile, Queue};
-use sigmo::graph::{LabeledGraph, WILDCARD_EDGE, WILDCARD_LABEL};
+use sigmo::graph::{CsrGo, LabeledGraph, WILDCARD_EDGE, WILDCARD_LABEL};
 use sigmo::mol::{functional_groups, MoleculeGenerator};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 fn queue() -> Queue {
@@ -238,4 +240,83 @@ fn mid_stream_cancellation_keeps_partials_and_stops() {
         Completion::Truncated(TruncationReason::Cancelled)
     );
     assert_eq!(report.molecules, 0);
+}
+
+/// The candidate-init inputs: the functional-group queries against
+/// `molecules` generated molecules, batched.
+fn init_inputs(molecules: usize) -> (CsrGo, CsrGo) {
+    let mut gen = MoleculeGenerator::with_seed(43);
+    let data: Vec<LabeledGraph> = gen
+        .generate_batch(molecules)
+        .iter()
+        .map(|m| m.to_labeled_graph())
+        .collect();
+    let queries: Vec<LabeledGraph> = functional_groups().into_iter().map(|q| q.graph).collect();
+    (CsrGo::from_graphs(&queries), CsrGo::from_graphs(&data))
+}
+
+#[test]
+fn pre_stopped_init_skips_every_group_and_sets_nothing() {
+    let (queries, data) = init_inputs(20);
+    let gov = Governor::unlimited();
+    gov.trip(TruncationReason::Cancelled);
+    let q = queue();
+    let bitmap = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+    let buckets = LabelBuckets::build(&queries);
+    let rejected = initialize_candidates_bucketed(&q, &buckets, &data, &bitmap, 64, &gov);
+    assert_eq!(rejected, 0);
+    assert_eq!(bitmap.total_count(), 0, "a skipped init sets no candidate");
+    let records = q.records();
+    assert_eq!(records.len(), 1);
+    assert!(records[0].cancelled);
+    assert_eq!(records[0].skipped_groups, data.num_nodes().div_ceil(64));
+}
+
+#[test]
+fn partial_init_is_a_subset_of_the_naive_bitmap() {
+    // A watcher stops the governor as soon as the first candidate word
+    // lands, so init is cut short mid-launch (or, on a fast host, right
+    // after it). Either way every bit it set is one the full rule sets,
+    // and the governor is consulted only between 64-node blocks: each
+    // block is either written in full, for every row, or not at all.
+    let (queries, data) = init_inputs(400);
+    let gov = Governor::unlimited();
+    let bitmap = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+    let buckets = LabelBuckets::build(&queries);
+    let done = AtomicBool::new(false);
+    let rejected = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Relaxed) && bitmap.total_count() == 0 {
+                std::hint::spin_loop();
+            }
+            gov.trip(TruncationReason::Cancelled);
+        });
+        let rejected =
+            initialize_candidates_bucketed(&queue(), &buckets, &data, &bitmap, 1024, &gov);
+        done.store(true, Ordering::Relaxed);
+        rejected
+    });
+    let full = CandidateBitmap::new(queries.num_nodes(), data.num_nodes(), WordWidth::U64);
+    let full_rejected = naive::initialize_candidates(&queries, &data, &full);
+    assert!(rejected <= full_rejected);
+    assert!(
+        bitmap.total_count() > 0,
+        "the watcher trips only after a write"
+    );
+    for w in 0..bitmap.words_per_row() {
+        let rows = 0..bitmap.rows();
+        for r in rows.clone() {
+            let (got, want) = (bitmap.load_word(r, w), full.load_word(r, w));
+            assert_eq!(
+                got & !want,
+                0,
+                "row {r} word {w} holds a bit the rule rejects"
+            );
+        }
+        let complete = rows
+            .clone()
+            .all(|r| bitmap.load_word(r, w) == full.load_word(r, w));
+        let untouched = rows.clone().all(|r| bitmap.load_word(r, w) == 0);
+        assert!(complete || untouched, "block {w} was cut mid-way");
+    }
 }
